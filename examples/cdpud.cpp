@@ -135,7 +135,10 @@ main(int argc, char **argv)
     if (!parseQuotas(args.getString("quota", ""), config.quotas))
         return 1;
 
+    // Flight rings and the fault dump only: a serve-until-SIGTERM
+    // process must not keep every sampled span until exit.
     obs::TelemetryConfig tc;
+    tc.spanSamplePeriod = 0;
     obs::Telemetry telemetry(tc, config.workers,
                              codec::codecFlightNamer());
     if (args.getBool("telemetry", false))

@@ -135,7 +135,8 @@ struct DecodeOptions
 struct DecodeReport
 {
     /** container.blocks[.ok|.failed|.<codec>], container.bytes.{in,out},
-     *  container.block_regen_bytes histogram, merged kernel.* totals. */
+     *  container.block_regen_bytes (sizes of the blocks that decoded),
+     *  merged kernel.* totals. */
     obs::CounterSnapshot work;
     /** container.steals (parallel only). */
     obs::CounterSnapshot runtime;
@@ -160,12 +161,14 @@ Status decodeSequential(ByteSpan frame, Bytes &out,
                         DecodeReport *report = nullptr);
 
 /**
- * Parallel scheduler: fans the index's blocks out over @p workers
- * threads (a serve::ShardedWorkQueue with stealing, one reused
- * serve-style codec scratch per worker) and stitches the outputs into
- * @p out at the index's regen offsets. Workers write disjoint output
- * ranges, so stitching needs no lock. @p workers is clamped to >= 1;
- * the result is byte-identical to decodeSequential() at any count.
+ * Parallel scheduler: fans the index's blocks out over the
+ * process-wide serve::Executor pool of @p workers threads (stealing,
+ * one reused codec scratch per worker; started by the first call for
+ * that count and kept, so later calls start no threads) and stitches
+ * the outputs into @p out at the index's regen offsets. Workers write
+ * disjoint output ranges, so stitching needs no lock. @p workers is
+ * clamped to >= 1; the result is byte-identical to decodeSequential()
+ * at any count. Must not be called from a task of that pool.
  */
 Status decodeParallel(ByteSpan frame, unsigned workers, Bytes &out,
                       const DecodeOptions &options = {},

@@ -2,10 +2,12 @@
  * @file
  * Container decode: sequential reference reader + parallel scheduler.
  *
- * Both paths share one per-block routine and one accounting scheme, so
- * the differential contract (tests/container_test.cpp) is structural:
- * the parallel path can only differ from the reference by scheduling,
- * and scheduling-dependent accounting (steals) is quarantined in
+ * Both paths share one per-block routine and one serve::CallRecorder
+ * accounting scheme, so the differential contract
+ * (tests/container_test.cpp) is structural: the parallel path, which
+ * runs on the process-wide serve::Executor pool for its worker count,
+ * can only differ from the reference by scheduling, and
+ * scheduling-dependent accounting (steals) is quarantined in
  * DecodeReport::runtime exactly like serve::ReplayReport.
  *
  * Error semantics: every block is attempted regardless of earlier
@@ -18,13 +20,8 @@
 #include "container/container.h"
 
 #include <cstring>
-#include <mutex>
-#include <thread>
 
-#include "common/mem.h"
-#include "obs/kernel_stats.h"
-#include "serve/codec_context.h"
-#include "serve/queue.h"
+#include "serve/call_recorder.h"
 
 namespace cdpu::container
 {
@@ -39,7 +36,6 @@ struct Plan
     FrameIndex index;
     ByteSpan data;               ///< The frame's data section.
     std::vector<u64> dstOffsets; ///< Prefix sums of regenSize.
-    std::string codecName;
 };
 
 Result<Plan>
@@ -66,19 +62,17 @@ buildPlan(ByteSpan frame, const DecodeOptions &options)
         plan.dstOffsets.push_back(dst);
         dst += entry.regenSize;
     }
-    plan.codecName = codec::codecName(plan.index.codec);
     return plan;
 }
 
 /**
- * Decodes block @p i through @p context's reused scratch and stitches
- * it into @p out at the plan's offset. Work counters recorded here are
- * deterministic in the block alone; the caller owns @p work's
- * thread-confinement (per-worker shard or the sequential registry).
+ * Decodes block @p i on @p worker and stitches it into @p out at the
+ * plan's offset. The recorder accounts the block after the regen-size
+ * check, so work counters are deterministic in the block alone.
  */
 Status
-decodeBlock(serve::CodecContext &context, const Plan &plan,
-            std::size_t i, u8 *out, obs::CounterRegistry &work)
+decodeBlock(serve::CallRecorder &recorder, serve::Worker &worker,
+            const Plan &plan, std::size_t i, Bytes &out)
 {
     const BlockEntry &entry = plan.index.blocks[i];
     hcb::ReplayCall call;
@@ -89,58 +83,79 @@ decodeBlock(serve::CodecContext &context, const Plan &plan,
         static_cast<std::size_t>(entry.offset),
         static_cast<std::size_t>(entry.compSize));
 
-    ByteSpan decoded;
-    Status status = context.execute(call, decoded);
-    if (status.ok() && decoded.size() != entry.regenSize) {
-        status = Status::corrupt(
+    serve::CallResult result = recorder.run(worker, call);
+    if (result.status.ok() && result.output.size() != entry.regenSize) {
+        result.status = Status::corrupt(
             "block " + std::to_string(i) + " regenerated " +
-            std::to_string(decoded.size()) + " bytes, index claims " +
-            std::to_string(entry.regenSize));
+            std::to_string(result.output.size()) +
+            " bytes, index claims " + std::to_string(entry.regenSize));
     }
-
-    work.counter("container.blocks").increment();
-    work.counter("container.blocks." + plan.codecName).increment();
-    work.counter("container.bytes.in").add(entry.compSize);
-    work.histogram("container.block_regen_bytes")
-        .record(entry.regenSize);
-    if (status.ok()) {
-        work.counter("container.blocks.ok").increment();
-        work.counter("container.bytes.out").add(decoded.size());
-        std::memcpy(out, decoded.data(), decoded.size());
-    } else {
-        work.counter("container.blocks.failed").increment();
-        if (!status.message().starts_with("block "))
-            status = Status(status.code(),
-                            "block " + std::to_string(i) + ": " +
-                                status.message());
+    recorder.record(worker.index, call, result, 0);
+    if (result.status.ok()) {
+        std::memcpy(out.data() +
+                        static_cast<std::size_t>(plan.dstOffsets[i]),
+                    result.output.data(), result.output.size());
+        return result.status;
     }
-    return status;
+    if (result.status.message().starts_with("block "))
+        return result.status;
+    return Status(result.status.code(), "block " + std::to_string(i) +
+                                            ": " +
+                                            result.status.message());
 }
 
-void
-fillReport(DecodeReport *report, const Plan &plan, bool decoded_ok,
-           obs::CounterSnapshot work, obs::CounterSnapshot runtime,
-           const mem::KernelStats &kernel)
-{
-    if (!report)
-        return;
-    obs::CounterRegistry kernel_registry;
-    obs::exportKernelStats(kernel_registry, kernel);
-    work.merge(kernel_registry.snapshot());
-    report->work = std::move(work);
-    report->runtime = std::move(runtime);
-    report->blocks = plan.index.blocks.size();
-    report->bytesOut = decoded_ok ? plan.index.totalRegenBytes : 0;
-}
-
-/** Lowest-index failure wins: the verdict any schedule agrees on. */
+/** Both paths: @p pool fans the blocks out, null decodes them in order
+ *  on the caller's thread. */
 Status
-firstFailure(const std::vector<Status> &statuses)
+decode(ByteSpan frame, serve::Executor *pool, Bytes &out,
+       const DecodeOptions &options, DecodeReport *report)
 {
-    for (const Status &status : statuses)
-        if (!status.ok())
-            return status;
-    return Status::okStatus();
+    out.clear();
+    if (report)
+        *report = DecodeReport{};
+    Result<Plan> planned = buildPlan(frame, options);
+    if (!planned.ok())
+        return planned.status();
+    const Plan &plan = planned.value();
+    out.resize(static_cast<std::size_t>(plan.index.totalRegenBytes));
+
+    std::vector<Status> statuses(plan.index.blocks.size());
+    serve::CallRecorder recorder(serve::kContainerCallNames,
+                                 pool ? pool->workers() : 1, nullptr,
+                                 {"container.steals"});
+    if (pool) {
+        // Workers write disjoint output ranges and disjoint status
+        // slots; stitching needs no lock.
+        pool->runAll(statuses.size(),
+                     [&](serve::Worker &worker, std::size_t i) {
+                         recorder.countEvent(worker.index, 0,
+                                             worker.stolen ? 1 : 0);
+                         statuses[i] =
+                             decodeBlock(recorder, worker, plan, i, out);
+                     });
+    } else {
+        serve::Worker worker;
+        for (std::size_t i = 0; i < statuses.size(); ++i)
+            statuses[i] = decodeBlock(recorder, worker, plan, i, out);
+    }
+
+    // Lowest-index failure wins: the verdict any schedule agrees on.
+    Status verdict = Status::okStatus();
+    for (const Status &status : statuses) {
+        if (!status.ok()) {
+            verdict = status;
+            break;
+        }
+    }
+    if (report) {
+        report->work = recorder.work();
+        report->runtime = recorder.runtime();
+        report->blocks = plan.index.blocks.size();
+        report->bytesOut = verdict.ok() ? plan.index.totalRegenBytes : 0;
+    }
+    if (!verdict.ok())
+        out.clear();
+    return verdict;
 }
 
 } // namespace
@@ -149,107 +164,15 @@ Status
 decodeSequential(ByteSpan frame, Bytes &out,
                  const DecodeOptions &options, DecodeReport *report)
 {
-    out.clear();
-    if (report)
-        *report = DecodeReport{};
-    Result<Plan> planned = buildPlan(frame, options);
-    if (!planned.ok())
-        return planned.status();
-    const Plan &plan = planned.value();
-
-    obs::CounterRegistry work;
-    const mem::KernelStats before = mem::kernelStats();
-    out.resize(static_cast<std::size_t>(plan.index.totalRegenBytes));
-
-    serve::CodecContext context;
-    std::vector<Status> statuses(plan.index.blocks.size());
-    for (std::size_t i = 0; i < plan.index.blocks.size(); ++i) {
-        statuses[i] = decodeBlock(
-            context, plan, i,
-            out.data() + static_cast<std::size_t>(plan.dstOffsets[i]),
-            work);
-    }
-
-    Status verdict = firstFailure(statuses);
-    fillReport(report, plan, verdict.ok(), work.snapshot(),
-               obs::CounterSnapshot{}, mem::kernelStats().diff(before));
-    if (!verdict.ok())
-        out.clear();
-    return verdict;
+    return decode(frame, nullptr, out, options, report);
 }
 
 Status
 decodeParallel(ByteSpan frame, unsigned workers, Bytes &out,
                const DecodeOptions &options, DecodeReport *report)
 {
-    out.clear();
-    if (report)
-        *report = DecodeReport{};
-    if (workers == 0)
-        workers = 1;
-    Result<Plan> planned = buildPlan(frame, options);
-    if (!planned.ok())
-        return planned.status();
-    const Plan &plan = planned.value();
-
-    out.resize(static_cast<std::size_t>(plan.index.totalRegenBytes));
-    const std::size_t blocks = plan.index.blocks.size();
-    std::vector<Status> statuses(blocks);
-
-    obs::ShardedCounterRegistry work_registry(workers);
-    obs::ShardedCounterRegistry runtime_registry(workers);
-    serve::ShardedWorkQueue<std::size_t> queue(
-        workers, /*shard_capacity=*/64,
-        serve::BackpressurePolicy::block);
-
-    std::mutex kernel_mutex;
-    mem::KernelStats kernel_total;
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            serve::CodecContext context;
-            const mem::KernelStats before = mem::kernelStats();
-            std::size_t block = 0;
-            bool stolen = false;
-            u64 steals = 0;
-            while (queue.pop(w, block, &stolen)) {
-                if (stolen)
-                    ++steals;
-                // Workers write disjoint output ranges and disjoint
-                // status slots; stitching needs no lock.
-                work_registry.withShard(w, [&](auto &registry) {
-                    statuses[block] = decodeBlock(
-                        context, plan, block,
-                        out.data() + static_cast<std::size_t>(
-                                         plan.dstOffsets[block]),
-                        registry);
-                });
-            }
-            runtime_registry.withShard(w, [&](auto &registry) {
-                registry.counter("container.steals").add(steals);
-            });
-            const mem::KernelStats delta =
-                mem::kernelStats().diff(before);
-            std::lock_guard<std::mutex> lock(kernel_mutex);
-            kernel_total.merge(delta);
-        });
-    }
-
-    for (std::size_t i = 0; i < blocks; ++i)
-        queue.push(static_cast<unsigned>(i % workers), i);
-    queue.close();
-    for (std::thread &worker : pool)
-        worker.join();
-
-    Status verdict = firstFailure(statuses);
-    fillReport(report, plan, verdict.ok(),
-               work_registry.mergedSnapshot(),
-               runtime_registry.mergedSnapshot(), kernel_total);
-    if (!verdict.ok())
-        out.clear();
-    return verdict;
+    return decode(frame, &serve::Executor::shared(workers), out, options,
+                  report);
 }
 
 } // namespace cdpu::container

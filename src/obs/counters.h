@@ -189,6 +189,16 @@ class ShardedCounterRegistry
         fn(shard.registry);
     }
 
+    /** Read-only withShard(), for state kept beside the shard. */
+    template <typename Fn>
+    void
+    withShard(unsigned i, Fn &&fn) const
+    {
+        const Shard &shard = *shards_[i % shards_.size()];
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        fn(shard.registry);
+    }
+
     /**
      * Merge of every shard's snapshot (counters summed, histograms
      * accumulated). Safe to call while writer threads are active; each

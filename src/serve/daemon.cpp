@@ -1,5 +1,6 @@
 #include "serve/daemon.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <fcntl.h>
@@ -7,10 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "codec/obs_bridge.h"
 #include "codec/registry.h"
-#include "obs/slo.h"
-#include "serve/codec_context.h"
 
 namespace cdpu::serve
 {
@@ -23,11 +21,25 @@ using Clock = std::chrono::steady_clock;
 /** Poll interval for the deadline admission policy's bounded wait. */
 constexpr auto kAdmitPollInterval = std::chrono::microseconds(100);
 
-std::string
-tenantCounterName(const char *family, u64 tenant)
+/** Runtime events the daemon counts through its recorder, by index. */
+enum DaemonEvent : unsigned
 {
-    return std::string(family) + ".t" + std::to_string(tenant);
-}
+    kConnections,
+    kRequests,
+    kMalformed,
+    kShutdownRejects,
+    kUnknownCodec,
+    kQuotaRejects,
+    kDrops,
+    kDeadlineRejects,
+    kDeadlineExpired,
+};
+const std::vector<const char *> kDaemonEvents = {
+    "serve.daemon.connections",      "serve.daemon.requests",
+    "serve.daemon.malformed",        "serve.daemon.shutdown_rejects",
+    "serve.daemon.unknown_codec",    "serve.daemon.quota_rejects",
+    "serve.daemon.drops",            "serve.daemon.deadline_rejects",
+    "serve.daemon.deadline_expired"};
 
 /**
  * Nudges the accept loop's poll via the self-pipe. Plain write(), not
@@ -101,32 +113,24 @@ struct Daemon::Connection
     }
 };
 
-/** One admitted request travelling reader -> queue -> worker. Owns its
- *  payload; dropping the job (queue rejection, daemon teardown) frees
+/** One admitted request travelling reader -> pool -> worker. Owns its
+ *  payload; dropping the job (refused submit, daemon teardown) frees
  *  the buffer with it — rejected calls must not leak. */
 struct Daemon::Job
 {
     std::shared_ptr<Connection> conn;
-    u64 requestId = 0;
-    u64 tenantId = 0;
+    WireRequest request;
     codec::CodecId codec = codec::CodecId::snappy;
-    codec::Direction direction = codec::Direction::compress;
-    i32 level = 0;
-    u32 windowLog = 0;
-    Bytes payload;
-    bool hasDeadline = false;
-    Clock::time_point deadline{};
     Clock::time_point admitted{};
+    /** Past this the call is not worth executing; max() = never. */
+    Clock::time_point deadline = Clock::time_point::max();
 };
 
 Daemon::Daemon(const DaemonConfig &config) : config_(config)
 {
-    if (config_.workers == 0)
-        config_.workers = 1;
-    if (config_.shards == 0)
-        config_.shards = config_.workers;
-    if (config_.shardCapacity == 0)
-        config_.shardCapacity = 1;
+    // The pool clamps its own sizes; the admission shard's index
+    // (workers) needs the clamped count here too.
+    config_.workers = std::max(config_.workers, 1u);
 }
 
 Daemon::~Daemon()
@@ -143,20 +147,11 @@ Daemon::start()
     if (config_.unixPath.empty() && !config_.tcpEnabled)
         return Status::invalid("daemon needs a unix path or TCP");
 
-    // The underlying queue blocks producers only under the block
-    // admission policy; drop and deadline need an immediate answer
-    // from push() so the reject path can respond to the client.
-    queue_ = std::make_unique<ShardedWorkQueue<Job>>(
-        config_.shards, config_.shardCapacity,
-        config_.admission == AdmissionPolicy::block
-            ? BackpressurePolicy::block
-            : BackpressurePolicy::drop);
-    work_ = std::make_unique<obs::ShardedCounterRegistry>(
-        config_.workers);
-    // One extra runtime shard: index `workers` belongs to the
-    // reader/admission threads (withShard serializes them on it).
-    runtime_ = std::make_unique<obs::ShardedCounterRegistry>(
-        config_.workers + 1);
+    // One extra shard: index `workers` belongs to the reader/admission
+    // threads (the shard lock serializes them on it).
+    recorder_ = std::make_unique<CallRecorder>(
+        kServeCallNames, config_.workers + 1, config_.telemetry,
+        kDaemonEvents);
 
     if (!config_.unixPath.empty()) {
         auto fd = listenUnix(config_.unixPath);
@@ -184,9 +179,17 @@ Daemon::start()
             return Status::io("self-pipe O_NONBLOCK failed");
     }
 
-    workerThreads_.reserve(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w)
-        workerThreads_.emplace_back([this, w] { workerLoop(w); });
+    // The pool's queue blocks producers only under the block admission
+    // policy; drop and deadline need an immediate answer from submit()
+    // so the reject path can respond to the client.
+    ExecutorConfig pool;
+    pool.workers = config_.workers;
+    pool.shards = config_.shards;
+    pool.shardCapacity = config_.shardCapacity;
+    pool.policy = config_.admission == AdmissionPolicy::block
+                      ? BackpressurePolicy::block
+                      : BackpressurePolicy::drop;
+    executor_ = std::make_unique<Executor>(pool);
     acceptThread_ = std::thread([this] { acceptLoop(); });
 
     started_.store(true);
@@ -255,10 +258,7 @@ Daemon::acceptLoop()
                 continue;
             auto conn = std::make_shared<Connection>();
             conn->fd = std::move(accepted.value());
-            runtime_->withShard(admission_shard, [](auto &registry) {
-                registry.counter("serve.daemon.connections")
-                    .increment();
-            });
+            recorder_->countEvent(admission_shard, kConnections);
             std::lock_guard<std::mutex> lock(connMutex_);
             conn->id = nextConnId_++;
             connections_.push_back(conn);
@@ -296,18 +296,14 @@ Daemon::connectionLoop(std::shared_ptr<Connection> conn)
             // stream cannot be resynchronized, so answer (best
             // effort — the request id may not have survived parsing)
             // and hang up.
-            runtime_->withShard(admission_shard, [](auto &registry) {
-                registry.counter("serve.daemon.malformed").increment();
-            });
+            recorder_->countEvent(admission_shard, kMalformed);
             sendError(conn, 0, WireCode::malformedRequest,
                       status.message());
             break;
         }
         if (outcome.wasEof)
             break; // Clean close between frames.
-        runtime_->withShard(admission_shard, [](auto &registry) {
-            registry.counter("serve.daemon.requests").increment();
-        });
+        recorder_->countEvent(admission_shard, kRequests);
         admit(conn, std::move(request));
     }
     conn->readerDone.store(true);
@@ -322,21 +318,17 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
               WireRequest &&request)
 {
     const unsigned admission_shard = config_.workers;
-    auto countAdmission = [&](const char *name, bool per_tenant) {
-        const u64 tenant = request.tenantId;
-        runtime_->withShard(
-            admission_shard, [&](auto &registry) {
-                registry.counter(name).increment();
-                if (per_tenant)
-                    registry
-                        .counter(tenantCounterName(name, tenant))
-                        .increment();
-            });
+    const u64 request_id = request.requestId;
+    const u64 tenant = request.tenantId;
+    auto countAdmission = [&](DaemonEvent event, bool per_tenant) {
+        recorder_->countEvent(admission_shard, event, 1,
+                              per_tenant ? std::optional<u64>(tenant)
+                                         : std::nullopt);
     };
 
     if (draining_.load()) {
-        countAdmission("serve.daemon.shutdown_rejects", false);
-        sendError(conn, request.requestId, WireCode::shuttingDown,
+        countAdmission(kShutdownRejects, false);
+        sendError(conn, request_id, WireCode::shuttingDown,
                   "daemon is draining");
         return;
     }
@@ -356,8 +348,8 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
         codec_id = Status::internal("codecFromName threw");
     }
     if (!codec_id.ok()) {
-        countAdmission("serve.daemon.unknown_codec", false);
-        sendError(conn, request.requestId, WireCode::unknownCodec,
+        countAdmission(kUnknownCodec, false);
+        sendError(conn, request_id, WireCode::unknownCodec,
                   codec_id.status().message());
         return;
     }
@@ -367,9 +359,9 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
     const char *quota_reject = nullptr;
     {
         std::lock_guard<std::mutex> lock(quotaMutex_);
-        auto quota = config_.quotas.find(request.tenantId);
+        auto quota = config_.quotas.find(tenant);
         if (quota != config_.quotas.end()) {
-            TenantUsage &used = usage_[request.tenantId];
+            TenantUsage &used = usage_[tenant];
             if (quota->second.maxCalls != 0 &&
                 used.calls + 1 > quota->second.maxCalls) {
                 quota_reject = "tenant call quota exhausted";
@@ -384,67 +376,64 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
         }
     }
     if (quota_reject) {
-        countAdmission("serve.daemon.quota_rejects", true);
-        sendError(conn, request.requestId, WireCode::quotaExceeded,
+        countAdmission(kQuotaRejects, true);
+        sendError(conn, request_id, WireCode::quotaExceeded,
                   quota_reject);
         return;
     }
 
     Job job;
     job.conn = conn;
-    job.requestId = request.requestId;
-    job.tenantId = request.tenantId;
     job.codec = codec_id.value();
-    job.direction = request.direction;
-    job.level = request.level;
-    job.windowLog = request.windowLog;
-    job.payload = std::move(request.payload);
     job.admitted = Clock::now();
-    if (request.deadlineNs != 0) {
-        job.hasDeadline = true;
+    if (request.deadlineNs != 0)
         job.deadline = job.admitted +
                        std::chrono::nanoseconds(request.deadlineNs);
-    }
+    job.request = std::move(request);
 
     const unsigned home = static_cast<unsigned>(conn->id);
-    const u64 request_id = job.requestId;
+    const Clock::time_point deadline = job.deadline;
+    Executor::Task task = [this, job = std::move(job)](
+                              Worker &worker) mutable {
+        serve(worker, job);
+    };
 
     switch (config_.admission) {
       case AdmissionPolicy::block:
         // Lossless: a full shard backpressures this reader (and so
-        // the client socket). push() fails only when the queue closed
+        // the client socket). submit() fails only when the pool closed
         // under us mid-drain.
-        if (!queue_->push(home, std::move(job))) {
-            countAdmission("serve.daemon.shutdown_rejects", false);
+        if (!executor_->submit(home, std::move(task))) {
+            countAdmission(kShutdownRejects, false);
             sendError(conn, request_id, WireCode::shuttingDown,
                       "daemon is draining");
         }
         return;
       case AdmissionPolicy::drop:
-        if (!queue_->push(home, std::move(job))) {
-            // The Job (and its payload buffer) died with the failed
-            // push; all that remains is to attribute the shed load to
-            // the tenant it belonged to and answer.
-            countAdmission("serve.daemon.drops", true);
+        if (!executor_->submit(home, std::move(task))) {
+            // The job (and its payload buffer) died with the failed
+            // submit; all that remains is to attribute the shed load
+            // to the tenant it belonged to and answer.
+            countAdmission(kDrops, true);
             sendError(conn, request_id, WireCode::overloaded,
                       "queue full (drop policy)");
         }
         return;
       case AdmissionPolicy::deadline: {
         // Wait only as long as the request itself is willing to wait.
-        // tryPush leaves the job intact on failure, so the retry loop
-        // never re-pushes a moved-from item.
+        // trySubmit leaves the task intact on failure, so the retry
+        // loop never re-submits a moved-from job.
         for (;;) {
-            if (queue_->tryPush(home, job))
+            if (executor_->trySubmit(home, task))
                 return;
             if (draining_.load()) {
-                countAdmission("serve.daemon.shutdown_rejects", false);
+                countAdmission(kShutdownRejects, false);
                 sendError(conn, request_id, WireCode::shuttingDown,
                           "daemon is draining");
                 return;
             }
-            if (job.hasDeadline && Clock::now() >= job.deadline) {
-                countAdmission("serve.daemon.deadline_rejects", true);
+            if (Clock::now() >= deadline) {
+                countAdmission(kDeadlineRejects, true);
                 sendError(conn, request_id,
                           WireCode::deadlineExceeded,
                           "deadline expired before admission");
@@ -457,176 +446,61 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
 }
 
 void
-Daemon::workerLoop(unsigned worker)
+Daemon::serve(Worker &worker, Job &job)
 {
-    CodecContext context;
-    obs::Telemetry *tele = config_.telemetry;
-
-    // Dimensioned latency cells, pointer-cached per worker as in the
-    // replay engine — but sized lazily against the *live* registry
-    // count: a wire request naming a new pipeline spec grows the codec
-    // registry mid-run, and a fixed-at-start table would index out of
-    // bounds on the first call of the freshly admitted codec.
-    std::vector<obs::Histogram *> dim_cells;
-
-    Job job;
-    while (queue_->pop(worker, job)) {
-        const std::string codec_name = codec::codecName(job.codec);
-        const bool compressing =
-            job.direction == codec::Direction::compress;
-
-        if (job.hasDeadline && Clock::now() >= job.deadline) {
-            runtime_->withShard(worker, [&](auto &registry) {
-                registry.counter("serve.daemon.deadline_expired")
-                    .increment();
-                registry
-                    .counter(tenantCounterName(
-                        "serve.daemon.deadline_expired", job.tenantId))
-                    .increment();
-            });
-            sendError(job.conn, job.requestId,
-                      WireCode::deadlineExceeded,
-                      "deadline expired in queue");
-            job = Job(); // Release payload + connection promptly.
-            continue;
-        }
-
-        if (config_.workerDelayNs != 0)
-            std::this_thread::sleep_for(
-                std::chrono::nanoseconds(config_.workerDelayNs));
-
-        hcb::ReplayCall call;
-        call.id = job.requestId;
-        call.codec = job.codec;
-        call.direction = job.direction;
-        call.payload = ByteSpan(job.payload.data(),
-                                job.payload.size());
-        call.level = job.level;
-        call.windowLog = job.windowLog;
-
-        const auto started = Clock::now();
-        ByteSpan output;
-        Status status = Status::okStatus();
-        // A codec failure must be a wire response, never an unwound
-        // worker thread — catch-all as the last line of defence even
-        // though registry codecs report through Status.
-        try {
-            status = context.execute(call, output);
-        } catch (const std::exception &e) {
-            status = Status::internal(std::string("codec threw: ") +
-                                      e.what());
-        } catch (...) {
-            status = Status::internal("codec threw a non-exception");
-        }
-        const u64 service_ns = static_cast<u64>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - started)
-                .count());
-
-        // Work accounting: same names as the replay engine, so the
-        // SLO tracker, obsctl, and the benches read either source.
-        work_->withShard(worker, [&](auto &registry) {
-            registry.counter("serve.calls").increment();
-            registry.counter("serve.calls." + codec_name).increment();
-            registry
-                .counter(compressing ? "serve.calls.compress"
-                                     : "serve.calls.decompress")
-                .increment();
-            registry.counter("serve.bytes.in").add(job.payload.size());
-            registry.histogram("serve.call_bytes_in")
-                .record(job.payload.size());
-            registry
-                .counter(tenantCounterName("serve.tenant.calls",
-                                           job.tenantId))
-                .increment();
-            registry
-                .counter(tenantCounterName("serve.tenant.bytes_in",
-                                           job.tenantId))
-                .add(job.payload.size());
-            if (status.ok()) {
-                registry.counter("serve.bytes.out").add(output.size());
-                registry.histogram("serve.call_bytes_out")
-                    .record(output.size());
-            } else {
-                registry.counter("serve.failures").increment();
-            }
-        });
-
-        // End-to-end latency (admission to response write) into the
-        // aggregate and dimensioned histograms.
-        const u64 latency_ns = static_cast<u64>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - job.admitted)
-                .count());
-        runtime_->withShard(worker, [&](auto &registry) {
-            registry.histogram("serve.latency_ns").record(latency_ns);
-            const unsigned dir = compressing ? 0 : 1;
-            const unsigned size_class =
-                obs::Histogram::bucketOf(job.payload.size());
-            const std::size_t index =
-                (static_cast<std::size_t>(job.codec) * 2 + dir) *
-                    obs::HistogramSnapshot::kBuckets +
-                size_class;
-            if (index >= dim_cells.size())
-                dim_cells.resize(codec::registeredCodecCount() * 2 *
-                                 obs::HistogramSnapshot::kBuckets);
-            obs::Histogram *&cell = dim_cells[index];
-            if (!cell)
-                cell = &registry.histogram(
-                    obs::dimensionedLatencyName(
-                        codec_name,
-                        compressing ? "compress" : "decompress",
-                        size_class));
-            cell->record(latency_ns);
-            registry.counter("serve.daemon.responses").increment();
-        });
-
-        if (tele) {
-            if (tele->flightEnabled()) {
-                obs::FlightEvent event;
-                event.id = job.requestId;
-                event.timestampNs = obs::SpanRecorder::nowNs();
-                event.kind = codec::flightKind(job.codec);
-                event.direction = codec::flightDirection(job.direction);
-                event.outcome = codec::flightOutcome(status);
-                event.bytesIn = job.payload.size();
-                event.bytesOut = output.size();
-                tele->flight().ring(worker).record(event);
-            }
-            if (!status.ok())
-                tele->noteFault(
-                    "daemon call " + std::to_string(job.requestId) +
-                        " (" + codec_name + " " +
-                        codec::directionName(job.direction) +
-                        "): " + status.message(),
-                    obs::SpanRecorder::nowNs());
-        }
-
-        WireResponse response;
-        response.requestId = job.requestId;
-        response.code = wireCodeFor(status);
-        response.serviceNs = service_ns;
-        if (status.ok()) {
-            response.payload.assign(output.begin(), output.end());
-        } else {
-            response.message = status.message();
-            if (response.message.size() >
-                config_.limits.maxMessageBytes)
-                response.message.resize(config_.limits.maxMessageBytes);
-        }
-        job.conn->send(response);
-        job = Job();
+    const WireRequest &request = job.request;
+    if (Clock::now() >= job.deadline) {
+        recorder_->countEvent(worker.index, kDeadlineExpired, 1,
+                              request.tenantId);
+        sendError(job.conn, request.requestId, WireCode::deadlineExceeded,
+                  "deadline expired in queue");
+        return;
     }
+
+    if (config_.workerDelayNs != 0)
+        std::this_thread::sleep_for(
+            std::chrono::nanoseconds(config_.workerDelayNs));
+
+    hcb::ReplayCall call;
+    call.id = request.requestId;
+    call.codec = job.codec;
+    call.direction = request.direction;
+    call.payload = ByteSpan(request.payload.data(), request.payload.size());
+    call.level = request.level;
+    call.windowLog = request.windowLog;
+    const CallResult result = recorder_->run(worker, call);
+
+    WireResponse response;
+    response.requestId = request.requestId;
+    response.code = wireCodeFor(result.status);
+    response.serviceNs = result.serviceNs;
+    if (result.status.ok()) {
+        response.payload.assign(result.output.begin(),
+                                result.output.end());
+    } else {
+        response.message = result.status.message();
+        if (response.message.size() > config_.limits.maxMessageBytes)
+            response.message.resize(config_.limits.maxMessageBytes);
+    }
+    // Accounted before the write, so a client holding its response
+    // finds the call already counted: latency runs from admission to
+    // the response ready to write.
+    const u64 latency_ns = static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - job.admitted)
+            .count());
+    recorder_->record(worker.index, call, result, latency_ns,
+                      request.tenantId);
+    job.conn->send(response);
 }
 
 obs::CounterSnapshot
 Daemon::counters() const
 {
-    obs::CounterSnapshot merged;
-    if (work_)
-        merged = work_->mergedSnapshot();
-    if (runtime_)
-        merged.merge(runtime_->mergedSnapshot());
+    if (!recorder_)
+        return {};
+    obs::CounterSnapshot merged = recorder_->work();
+    merged.merge(recorder_->runtime());
     return merged;
 }
 
@@ -669,20 +543,12 @@ Daemon::drain()
         connections_.clear();
     }
 
-    // Close the queue only after every producer (reader) is gone:
-    // pop() then returns false exactly when the queue is drained, so
-    // every admitted job executes before the workers exit.
-    if (queue_)
-        queue_->close();
-    for (auto &worker : workerThreads_)
-        if (worker.joinable())
-            worker.join();
-    workerThreads_.clear();
+    // Close the pool only after every producer (reader) is gone: its
+    // workers run every admitted job before they exit.
+    executor_->close();
 
-    if (work_)
-        finalReport_.work = work_->mergedSnapshot();
-    if (runtime_)
-        finalReport_.runtime = runtime_->mergedSnapshot();
+    finalReport_.work = recorder_->work();
+    finalReport_.runtime = recorder_->runtime();
     const obs::CounterSnapshot &run = finalReport_.runtime;
     const obs::CounterSnapshot &work = finalReport_.work;
     finalReport_.connections = run.at("serve.daemon.connections");

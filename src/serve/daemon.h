@@ -6,21 +6,21 @@
  * pre-built batches, the Daemon accepts live wire-protocol traffic
  * (serve/wire.h) on unix-domain and TCP listeners, admits it through
  * the same BackpressurePolicy vocabulary the replay engine uses, and
- * drains it through a ShardedWorkQueue into per-worker CodecContexts —
- * one process, N cores, any registry codec including runtime-admitted
+ * executes it on the daemon's worker pool (serve/executor.h) — one
+ * process, N cores, any registry codec including runtime-admitted
  * pipeline specs.
  *
  * Threading model: one accept thread (poll over the listeners and a
- * shutdown self-pipe), one reader thread per connection, W worker
- * threads. Readers parse and admit frames; workers execute and write
+ * shutdown self-pipe), one reader thread per connection, W pool
+ * workers. Readers parse and admit frames; workers execute and write
  * responses (a per-connection write mutex serializes interleaved
  * responses; requests on one connection may complete out of order and
- * are matched by request id). Counters follow the engine's split:
- * deterministic work accounting (serve.calls*, serve.bytes.*) in the
- * work registry, scheduling-dependent events (latency, drops, quota
- * rejects) in the runtime registry, every drop/reject attributed to
- * its tenant so load shedding is visible per customer, not just in
- * aggregate.
+ * are matched by request id). One CallRecorder (serve/call_recorder.h)
+ * accounts everything with the engine's split: deterministic work
+ * (serve.calls*, serve.bytes.*, serve.tenant.*) and scheduling- and
+ * admission-dependent runtime (latency, serve.daemon.* events), every
+ * drop/reject attributed to its tenant so load shedding is visible per
+ * customer, not just in aggregate.
  *
  * Admission control (DESIGN.md §16):
  *  - block: a full queue backpressures the reader (and so the client's
@@ -45,10 +45,8 @@
 #include <memory>
 #include <thread>
 
-#include "obs/counters.h"
-#include "obs/telemetry.h"
+#include "serve/call_recorder.h"
 #include "serve/net.h"
-#include "serve/queue.h"
 
 namespace cdpu::serve
 {
@@ -93,9 +91,11 @@ struct DaemonConfig
     /** Tenant id -> budget; tenants absent here are unlimited. */
     std::map<u64, TenantQuota> quotas;
 
-    /** Optional hub (not owned; must outlive the daemon): failed calls
-     *  land in the flight ring and the first failure freezes a fault
-     *  dump, mirroring the replay engine's wiring. */
+    /** Optional hub (not owned; must outlive the daemon), wired like
+     *  the replay engine's: flight events, a fault dump on the first
+     *  failure, spans sampled on the request id, metrics samples. A
+     *  long-lived daemon should turn span sampling off: sampled spans
+     *  are kept until the hub is destroyed. */
     obs::Telemetry *telemetry = nullptr;
 
     /** Artificial per-call service time (busy-wait), used by tests and
@@ -107,11 +107,13 @@ struct DaemonConfig
 struct DaemonReport
 {
     /** Deterministic work: serve.calls*, serve.bytes.*,
-     *  serve.failures, call-size histograms — same names as the
-     *  replay engine so obsctl and the SLO tracker read both. */
+     *  serve.failures, serve.tenant.*, call-size histograms, kernel.*
+     *  totals — same names as the replay engine so obsctl and the SLO
+     *  tracker read both. */
     obs::CounterSnapshot work;
     /** Scheduling- and admission-dependent: serve.latency_ns (+
-     *  dimensioned cells), serve.daemon.* admission events. */
+     *  dimensioned cells; admission to the response ready to write),
+     *  serve.daemon.* admission events. */
     obs::CounterSnapshot runtime;
 
     u64 connections = 0;
@@ -148,7 +150,6 @@ class Daemon
     /** Live merged counter view (safe while serving). */
     obs::CounterSnapshot counters() const;
 
-    const DaemonConfig &config() const { return config_; }
     /** Actual TCP port (after start() with tcpEnabled). */
     u16 tcpPort() const { return boundTcpPort_; }
 
@@ -158,7 +159,8 @@ class Daemon
 
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Connection> conn);
-    void workerLoop(unsigned worker);
+    /** Executes one admitted request on @p worker and answers it. */
+    void serve(Worker &worker, Job &job);
 
     /** Admission pipeline for one parsed request; always answers the
      *  client exactly once (enqueue or reject). */
@@ -174,12 +176,10 @@ class Daemon
     u16 boundTcpPort_ = 0;
     Fd wakeRead_, wakeWrite_; ///< Self-pipe: drain() wakes acceptLoop.
 
-    std::unique_ptr<ShardedWorkQueue<Job>> queue_;
-    std::unique_ptr<obs::ShardedCounterRegistry> work_;
-    std::unique_ptr<obs::ShardedCounterRegistry> runtime_;
+    std::unique_ptr<Executor> executor_;
+    std::unique_ptr<CallRecorder> recorder_;
 
     std::thread acceptThread_;
-    std::vector<std::thread> workerThreads_;
 
     mutable std::mutex connMutex_;
     std::vector<std::shared_ptr<Connection>> connections_;

@@ -1,12 +1,7 @@
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <chrono>
-#include <optional>
-#include <thread>
-
-#include "codec/obs_bridge.h"
-#include "obs/kernel_stats.h"
-#include "obs/metrics.h"
 
 namespace cdpu::serve
 {
@@ -27,307 +22,48 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Executes one call and fills its outcome slot + work counters.
- *  Everything recorded here is deterministic in the call itself.
- *  Returns the codec status so telemetry can classify the outcome. */
-Status
-runCall(CodecContext &context, const hcb::ReplayCall &call,
-        bool record_output, CallOutcome &outcome,
-        obs::CounterRegistry &work)
+/** Runtime events the pool's tasks count, by index. */
+enum EngineEvent : unsigned
 {
-    ByteSpan output;
-    Status status = context.execute(call, output);
-    outcome.executed = true;
-    outcome.ok = status.ok();
-    if (status.ok()) {
-        outcome.outputBytes = output.size();
-        outcome.outputHash = fnv1a(output);
-        if (record_output)
-            outcome.output.assign(output.begin(), output.end());
-    }
-
-    work.counter("serve.calls").increment();
-    work.counter("serve.calls." + codec::codecName(call.codec))
-        .increment();
-    work.counter(call.direction == codec::Direction::compress
-                     ? "serve.calls.compress"
-                     : "serve.calls.decompress")
-        .increment();
-    work.counter("serve.bytes.in").add(call.payload.size());
-    work.histogram("serve.call_bytes_in").record(call.payload.size());
-    if (status.ok()) {
-        work.counter("serve.bytes.out").add(outcome.outputBytes);
-        work.histogram("serve.call_bytes_out")
-            .record(outcome.outputBytes);
-    } else {
-        work.counter("serve.failures").increment();
-    }
-    return status;
-}
-
-/**
- * Per-worker telemetry state. Dimensioned latency cells are resolved
- * (name built, histogram registered) at most once per
- * codec x direction x size-class and cached as raw pointers —
- * CounterRegistry handles are stable for the registry's lifetime, so
- * after the first call to a cell the hot path is pointer->record().
- */
-struct WorkerTelemetry
-{
-    obs::Telemetry *hub = nullptr;
-    obs::FlightRing *ring = nullptr;
-    const std::vector<std::string> *codecNames = nullptr;
-    /** Sized on first use from the name table: the registry is
-     *  dynamic, so the cell count is a run property, not a constant. */
-    std::vector<obs::Histogram *> dimCells;
-
-    bool dimensioned() const
-    {
-        return hub != nullptr && hub->config().dimensionedLatency;
-    }
-
-    /** Records @p ns into the call's dimension cell. Must run under
-     *  the owning shard's lock (@p registry is that shard). */
-    void
-    recordDimensioned(obs::CounterRegistry &registry,
-                      const hcb::ReplayCall &call, u64 ns)
-    {
-        const unsigned kind = static_cast<unsigned>(call.codec);
-        const unsigned dir =
-            call.direction == codec::Direction::compress ? 0 : 1;
-        const unsigned size_class =
-            obs::Histogram::bucketOf(call.payload.size());
-        if (dimCells.empty())
-            dimCells.resize(codecNames->size() * 2 *
-                            obs::HistogramSnapshot::kBuckets);
-        const std::size_t index =
-            (static_cast<std::size_t>(kind) * 2 + dir) *
-                obs::HistogramSnapshot::kBuckets +
-            size_class;
-        obs::Histogram *&cell = dimCells[index];
-        if (!cell)
-            cell = &registry.histogram(obs::dimensionedLatencyName(
-                (*codecNames)[kind],
-                dir == 0 ? "compress" : "decompress", size_class));
-        cell->record(ns);
-    }
-
-    void
-    recordFlight(const hcb::ReplayCall &call, const CallOutcome &outcome,
-                 const Status &status)
-    {
-        if (!ring)
-            return;
-        obs::FlightEvent event;
-        event.id = call.id;
-        event.timestampNs = obs::SpanRecorder::nowNs();
-        event.kind = codec::flightKind(call.codec);
-        event.direction = codec::flightDirection(call.direction);
-        event.outcome = codec::flightOutcome(status);
-        event.bytesIn = call.payload.size();
-        event.bytesOut = outcome.outputBytes;
-        ring->record(event);
-    }
-
-    void
-    noteFailure(const hcb::ReplayCall &call, const Status &status)
-    {
-        if (!hub)
-            return;
-        hub->noteFault("serve call " + std::to_string(call.id) + " (" +
-                           codec::codecName(call.codec) + " " +
-                           codec::directionName(call.direction) +
-                           "): " + status.message(),
-                       obs::SpanRecorder::nowNs());
-    }
+    kSteals,
+    kBatches,
 };
+const std::vector<const char *> kEngineEvents = {"serve.steals",
+                                                 "serve.batches"};
 
-/** Stable codec-name table for span labels and dimension cells, built
- *  from the registry's enumeration (never a codec switch). */
-std::vector<std::string>
-codecNameTable()
+/** Runs one call and fills its outcome slot: the per-call body the
+ *  pool's workers and replaySequential share. */
+void
+replayCall(CallRecorder &recorder, Worker &worker,
+           const hcb::ReplayCall &call, bool record_output,
+           CallOutcome &outcome)
 {
-    std::vector<std::string> names;
-    for (codec::CodecId id : codec::allCodecs())
-        names.push_back(codec::codecName(id));
-    return names;
+    const CallResult result = recorder.run(worker, call);
+    outcome.executed = true;
+    outcome.ok = result.status.ok();
+    if (outcome.ok) {
+        outcome.outputBytes = result.output.size();
+        outcome.outputHash = fnv1a(result.output);
+        if (record_output)
+            outcome.output.assign(result.output.begin(),
+                                  result.output.end());
+    }
+    recorder.record(worker.index, call, result, result.serviceNs);
 }
 
-} // namespace
-
-ReplayEngine::ReplayEngine(const EngineConfig &config) : config_(config)
+/** Fills @p report's accounting once every call has run. */
+void
+finishReport(ReplayReport &report, const CallRecorder &recorder,
+             Clock::time_point started)
 {
-    if (config_.workers == 0)
-        config_.workers = 1;
-    if (config_.shards == 0)
-        config_.shards = config_.workers;
-    if (config_.batchSize == 0)
-        config_.batchSize = 1;
-    if (config_.shardCapacity == 0)
-        config_.shardCapacity = 1;
-}
-
-ReplayReport
-ReplayEngine::run(const hcb::CallStream &stream)
-{
-    ReplayReport report;
-    report.outcomes.resize(stream.size());
-
-    obs::ShardedCounterRegistry work_registry(config_.workers);
-    obs::ShardedCounterRegistry runtime_registry(config_.workers);
-    ShardedWorkQueue<hcb::CallBatch> queue(
-        config_.shards, config_.shardCapacity, config_.policy);
-
-    std::mutex kernel_mutex;
-    mem::KernelStats kernel_total;
-
-    obs::Telemetry *tele = config_.telemetry;
-    const std::vector<std::string> codec_names =
-        tele ? codecNameTable() : std::vector<std::string>{};
-    const u64 spans_before = tele ? tele->spans().sampledCount() : 0;
-
-    // Metrics sampling is clocked on executed calls, not wall time, so
-    // the sample count is a pure function of the stream: the worker
-    // whose fetch_add crosses a multiple of metricsEveryCalls takes
-    // the sample.
-    const u64 metrics_every = tele ? tele->config().metricsEveryCalls : 0;
-    std::optional<obs::MetricsSampler> sampler;
-    if (metrics_every != 0)
-        sampler.emplace(
-            std::vector<const obs::ShardedCounterRegistry *>{
-                &work_registry, &runtime_registry},
-            tele->config().metricsCapacity);
-    std::atomic<u64> completed_calls{0};
-
-    auto started = Clock::now();
-
-    std::vector<std::thread> workers;
-    workers.reserve(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w) {
-        workers.emplace_back([&, w] {
-            CodecContext context;
-            WorkerTelemetry wt;
-            if (tele) {
-                wt.hub = tele;
-                wt.codecNames = &codec_names;
-                if (tele->flightEnabled())
-                    wt.ring = &tele->flight().ring(w);
-            }
-            mem::KernelStats before = mem::kernelStats();
-            hcb::CallBatch batch;
-            bool stolen = false;
-            u64 steals = 0;
-            u64 batches = 0;
-            while (queue.pop(w, batch, &stolen)) {
-                ++batches;
-                if (stolen)
-                    ++steals;
-                for (std::size_t i = 0; i < batch.count; ++i) {
-                    const hcb::ReplayCall &call = batch.calls[i];
-                    CallOutcome &outcome = report.outcomes[call.id];
-
-                    // Span sampling keys on the call id, so the
-                    // sampled set is identical at any worker count.
-                    obs::ActiveSpan span;
-                    std::optional<obs::SpanPhaseScope> phases;
-                    if (tele) {
-                        span = tele->spans().begin(
-                            call.id,
-                            codec_names[static_cast<std::size_t>(
-                                            call.codec)]
-                                .c_str(),
-                            call.direction ==
-                                    codec::Direction::compress
-                                ? "compress"
-                                : "decompress",
-                            w);
-                        if (span.sampled())
-                            phases.emplace(span);
-                    }
-
-                    auto call_start = Clock::now();
-                    Status status = Status::okStatus();
-                    work_registry.withShard(w, [&](auto &registry) {
-                        status = runCall(context, call,
-                                         config_.recordOutputs,
-                                         outcome, registry);
-                    });
-                    u64 ns = static_cast<u64>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(Clock::now() -
-                                                      call_start)
-                            .count());
-                    phases.reset();
-                    span.end();
-
-                    if (tele) {
-                        wt.recordFlight(call, outcome, status);
-                        if (!status.ok())
-                            wt.noteFailure(call, status);
-                    }
-                    runtime_registry.withShard(w, [&](auto &registry) {
-                        registry.histogram("serve.latency_ns")
-                            .record(ns);
-                        if (wt.dimensioned())
-                            wt.recordDimensioned(registry, call, ns);
-                    });
-                    if (sampler) {
-                        const u64 done =
-                            completed_calls.fetch_add(
-                                1, std::memory_order_relaxed) +
-                            1;
-                        if (done % metrics_every == 0)
-                            sampler->sample(obs::SpanRecorder::nowNs());
-                    }
-                }
-            }
-            runtime_registry.withShard(w, [&](auto &registry) {
-                registry.counter("serve.steals").add(steals);
-                registry.counter("serve.batches").add(batches);
-            });
-            mem::KernelStats delta = mem::kernelStats().diff(before);
-            std::lock_guard<std::mutex> lock(kernel_mutex);
-            kernel_total.merge(delta);
-        });
-    }
-
-    // Producer: feed batches round-robin across shards so every worker
-    // has a home stream of work; stealing levels the imbalance.
-    u64 dropped_calls = 0;
-    auto batches = stream.batches(config_.batchSize);
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        unsigned home = static_cast<unsigned>(b % config_.shards);
-        if (!queue.push(home, batches[b]))
-            dropped_calls += batches[b].count;
-    }
-    queue.close();
-    for (auto &worker : workers)
-        worker.join();
-
     report.elapsedSeconds =
         std::chrono::duration<double>(Clock::now() - started).count();
-
-    report.work = work_registry.mergedSnapshot();
-    report.runtime = runtime_registry.mergedSnapshot();
-    report.kernel = kernel_total;
-
-    // Fold the merged fast-path totals into the deterministic
-    // snapshot under the usual "kernel.*" names.
-    obs::CounterRegistry kernel_registry;
-    obs::exportKernelStats(kernel_registry, kernel_total);
-    report.work.merge(kernel_registry.snapshot());
-
-    obs::CounterRegistry drop_registry;
-    drop_registry.counter("serve.drops").add(dropped_calls);
-    report.runtime.merge(drop_registry.snapshot());
-
-    if (tele)
-        report.spansSampled = tele->spans().sampledCount() - spans_before;
-    if (sampler) {
-        report.metricsSamples = sampler->sampleCount();
-        report.metricsSeries = sampler->toJson();
-    }
-
+    report.work = recorder.work();
+    report.runtime = recorder.runtime();
+    report.kernel = recorder.kernel();
+    report.spansSampled = recorder.spansSampled();
+    report.metricsSamples = recorder.metricsSamples();
+    report.metricsSeries = recorder.metricsSeries();
     for (const CallOutcome &outcome : report.outcomes) {
         if (!outcome.executed)
             continue;
@@ -335,7 +71,49 @@ ReplayEngine::run(const hcb::CallStream &stream)
         if (!outcome.ok)
             ++report.failed;
     }
-    report.dropped = dropped_calls;
+    report.dropped = report.outcomes.size() - report.executed;
+}
+
+} // namespace
+
+ReplayEngine::ReplayEngine(const EngineConfig &config) : config_(config)
+{
+    // The pool clamps its own sizes.
+    config_.batchSize = std::max<std::size_t>(config_.batchSize, 1);
+    ExecutorConfig pool;
+    pool.workers = config_.workers;
+    pool.shards = config_.shards;
+    pool.shardCapacity = config_.shardCapacity;
+    pool.policy = config_.policy;
+    executor_ = std::make_unique<Executor>(pool);
+}
+
+ReplayReport
+ReplayEngine::run(const hcb::CallStream &stream)
+{
+    ReplayReport report;
+    report.outcomes.resize(stream.size());
+    CallRecorder recorder(kServeCallNames, executor_->workers(),
+                          config_.telemetry, kEngineEvents);
+
+    // Batches go round-robin across the shards so every worker has a
+    // home stream of work; stealing levels the imbalance. Under the
+    // drop policy a refused batch never runs and its calls count as
+    // dropped.
+    const std::vector<hcb::CallBatch> batches =
+        stream.batches(config_.batchSize);
+    const auto started = Clock::now();
+    executor_->runAll(batches.size(), [&](Worker &worker, std::size_t b) {
+        recorder.countEvent(worker.index, kSteals, worker.stolen ? 1 : 0);
+        recorder.countEvent(worker.index, kBatches);
+        for (std::size_t i = 0; i < batches[b].count; ++i) {
+            const hcb::ReplayCall &call = batches[b].calls[i];
+            replayCall(recorder, worker, call, config_.recordOutputs,
+                       report.outcomes[call.id]);
+        }
+    });
+    finishReport(report, recorder, started);
+    report.runtime.counters["serve.drops"] = report.dropped;
     return report;
 }
 
@@ -345,81 +123,13 @@ replaySequential(const hcb::CallStream &stream, bool record_outputs,
 {
     ReplayReport report;
     report.outcomes.resize(stream.size());
-
-    obs::CounterRegistry work_registry;
-    obs::CounterRegistry runtime_registry;
-    CodecContext context;
-
-    const std::vector<std::string> codec_names =
-        telemetry ? codecNameTable() : std::vector<std::string>{};
-    WorkerTelemetry wt;
-    if (telemetry) {
-        wt.hub = telemetry;
-        wt.codecNames = &codec_names;
-        if (telemetry->flightEnabled())
-            wt.ring = &telemetry->flight().ring(0);
-    }
-    const u64 spans_before =
-        telemetry ? telemetry->spans().sampledCount() : 0;
-
-    mem::KernelStats before = mem::kernelStats();
-
-    auto started = Clock::now();
-    for (const hcb::ReplayCall &call : stream.calls()) {
-        obs::ActiveSpan span;
-        std::optional<obs::SpanPhaseScope> phases;
-        if (telemetry) {
-            span = telemetry->spans().begin(
-                call.id,
-                codec_names[static_cast<std::size_t>(call.codec)]
-                    .c_str(),
-                call.direction == codec::Direction::compress
-                    ? "compress"
-                    : "decompress",
-                0);
-            if (span.sampled())
-                phases.emplace(span);
-        }
-        auto call_start = Clock::now();
-        CallOutcome &outcome = report.outcomes[call.id];
-        Status status = runCall(context, call, record_outputs, outcome,
-                                work_registry);
-        u64 ns = static_cast<u64>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - call_start)
-                .count());
-        phases.reset();
-        span.end();
-        if (telemetry) {
-            wt.recordFlight(call, outcome, status);
-            if (!status.ok())
-                wt.noteFailure(call, status);
-        }
-        runtime_registry.histogram("serve.latency_ns").record(ns);
-        if (wt.dimensioned())
-            wt.recordDimensioned(runtime_registry, call, ns);
-    }
-    report.elapsedSeconds =
-        std::chrono::duration<double>(Clock::now() - started).count();
-
-    report.kernel = mem::kernelStats().diff(before);
-    report.work = work_registry.snapshot();
-    obs::CounterRegistry kernel_registry;
-    obs::exportKernelStats(kernel_registry, report.kernel);
-    report.work.merge(kernel_registry.snapshot());
-    report.runtime = runtime_registry.snapshot();
-
-    if (telemetry)
-        report.spansSampled =
-            telemetry->spans().sampledCount() - spans_before;
-
-    for (const CallOutcome &outcome : report.outcomes) {
-        if (!outcome.executed)
-            continue;
-        ++report.executed;
-        if (!outcome.ok)
-            ++report.failed;
-    }
+    CallRecorder recorder(kServeCallNames, 1, telemetry);
+    Worker worker;
+    const auto started = Clock::now();
+    for (const hcb::ReplayCall &call : stream.calls())
+        replayCall(recorder, worker, call, record_outputs,
+                   report.outcomes[call.id]);
+    finishReport(report, recorder, started);
     return report;
 }
 

@@ -4,10 +4,9 @@
  *
  * Replays a CallStream — the unit of serving work in the paper's fleet
  * analysis (Section 3: independent (de)compression calls, not files) —
- * through a fixed pool of worker threads. Each worker owns a codec
- * context and a home shard of the work queue, steals when its shard
- * runs dry, and publishes observability into per-worker shards of a
- * ShardedCounterRegistry.
+ * as batches over the engine's own worker pool (serve/executor.h).
+ * Each call runs and is accounted through a CallRecorder
+ * (serve/call_recorder.h), the same one the no-thread reference uses.
  *
  * Determinism contract: with the block backpressure policy, the
  * *work* a replay performs is a pure function of the stream — every
@@ -24,11 +23,7 @@
 #ifndef CDPU_SERVE_ENGINE_H_
 #define CDPU_SERVE_ENGINE_H_
 
-#include "common/mem.h"
-#include "obs/counters.h"
-#include "obs/telemetry.h"
-#include "serve/codec_context.h"
-#include "serve/queue.h"
+#include "serve/call_recorder.h"
 
 namespace cdpu::serve
 {
@@ -53,10 +48,11 @@ struct EngineConfig
      * is the compiled-in-but-idle configuration: no spans, no flight
      * events, no metrics samples, no per-call cost. With a hub:
      * per-call spans sampled on call id (deterministic across worker
-     * counts), flight events into the worker's ring, dimensioned
-     * latency histograms, metrics samples every
-     * config.metricsEveryCalls completed calls, and a fault dump on
-     * the first failed call.
+     * counts), flight events into the worker's ring, metrics samples
+     * every config.metricsEveryCalls completed calls, and a fault dump
+     * on the first failed call. The hub's dimensionedLatency = false
+     * turns off the dimensioned latency cells, which are otherwise
+     * recorded with or without a hub.
      */
     obs::Telemetry *telemetry = nullptr;
 };
@@ -81,11 +77,11 @@ struct ReplayReport
      *  counts under the block policy. */
     obs::CounterSnapshot work;
 
-    /** Scheduling-dependent accounting: serve.latency_ns,
-     *  serve.steals, serve.drops, serve.batches. */
+    /** Scheduling-dependent accounting: serve.latency_ns (+
+     *  dimensioned cells), serve.steals, serve.drops, serve.batches. */
     obs::CounterSnapshot runtime;
 
-    /** Merged per-thread fast-path stats (also exported into work). */
+    /** Merged per-call fast-path stats (also exported into work). */
     mem::KernelStats kernel;
 
     /** Time-series metrics document ({"metrics_series": ...}); JSON
@@ -118,17 +114,17 @@ struct ReplayReport
 class ReplayEngine
 {
   public:
+    /** Starts the engine's worker pool; it lives until destruction, so
+     *  repeated run()s pay no thread start-up. */
     explicit ReplayEngine(const EngineConfig &config);
 
-    /** Replays @p stream to completion (producer-side push, worker
-     *  drain, shutdown barrier) and returns the report. The stream
-     *  must stay unmodified for the duration. */
+    /** Replays @p stream to completion and returns the report. The
+     *  stream must stay unmodified for the duration. */
     ReplayReport run(const hcb::CallStream &stream);
-
-    const EngineConfig &config() const { return config_; }
 
   private:
     EngineConfig config_;
+    std::unique_ptr<Executor> executor_;
 };
 
 /**

@@ -43,13 +43,6 @@ enum class BackpressurePolicy
     drop,  ///< Reject the item; push() returns false (load shedding).
 };
 
-/** Returns the policy's knob spelling ("block" / "drop"). */
-inline const char *
-backpressurePolicyName(BackpressurePolicy policy)
-{
-    return policy == BackpressurePolicy::block ? "block" : "drop";
-}
-
 template <typename T> class ShardedWorkQueue
 {
   public:
@@ -79,13 +72,16 @@ template <typename T> class ShardedWorkQueue
      * Enqueues @p item on shard (@p home % shards). Returns true if
      * accepted. Under the drop policy a full shard rejects the item
      * and returns false; under the block policy this waits until the
-     * shard has room (or the queue closes — then returns false).
+     * shard has room (or the queue closes — then returns false). A
+     * closed queue rejects every push: no consumer would pop it.
      */
     bool push(unsigned home, T item)
     {
         Shard &shard = *shards_[home % shards_.size()];
         {
             std::unique_lock<std::mutex> lock(shard.mutex);
+            if (isClosed())
+                return false;
             if (shard.items.size() >= capacity_) {
                 if (policy_ == BackpressurePolicy::drop)
                     return false;
@@ -179,7 +175,8 @@ template <typename T> class ShardedWorkQueue
         return false;
     }
 
-    /** Stops accepting blocked pushes and lets consumers drain out. */
+    /** Stops accepting pushes (blocked ones return false) and lets
+     *  consumers drain out. */
     void close()
     {
         {

@@ -9,7 +9,6 @@
 #include "common/bitio.h"
 #include "common/cli.h"
 #include "common/error.h"
-#include "common/hexdump.h"
 #include "common/histogram.h"
 #include "common/kernels.h"
 #include "common/mem.h"
@@ -409,15 +408,6 @@ TEST(TableTest, Formatters)
     EXPECT_EQ(TablePrinter::bytes(2 * 1024 * 1024), "2 MiB");
     EXPECT_EQ(TablePrinter::bytes(100), "100 B");
     EXPECT_EQ(TablePrinter::percent(0.123, 1), "12.3%");
-}
-
-TEST(HexDumpTest, ShowsOffsetsAndAscii)
-{
-    Bytes data = {'H', 'i', 0x00, 0xff};
-    std::string dump = hexDump(data);
-    EXPECT_NE(dump.find("00000000"), std::string::npos);
-    EXPECT_NE(dump.find("48 69 00 ff"), std::string::npos);
-    EXPECT_NE(dump.find("Hi.."), std::string::npos);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include "codec/registry.h"
 #include "corpus/generators.h"
 #include "serve/engine.h"
+#include "serve/executor.h"
 #include "serve/queue.h"
 #include "serve/stream_builder.h"
 #include "snappy/decompress.h"
@@ -98,6 +99,7 @@ TEST(ShardedWorkQueueTest, CloseDrainsAcceptedItems)
     for (int i = 0; i < 6; ++i)
         EXPECT_TRUE(queue.push(static_cast<unsigned>(i), i));
     queue.close();
+    EXPECT_FALSE(queue.push(0, 99)); // room left, but nobody would pop it
     int seen = 0;
     int item = 0;
     while (queue.pop(0, item))
@@ -184,6 +186,128 @@ TEST(ShardedWorkQueueTest, ConcurrentProducersConsumersLoseNothing)
     long n = kProducers * kPerProducer;
     EXPECT_EQ(count.load(), n);
     EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+// --- Executor ---------------------------------------------------------
+
+TEST(ExecutorTest, RunAllRunsEveryTaskOnceOnLongLivedWorkers)
+{
+    ExecutorConfig config;
+    config.workers = 3;
+    config.shardCapacity = 2; // the producer feels backpressure
+    Executor executor(config);
+    ASSERT_EQ(executor.workers(), 3u);
+
+    std::vector<std::atomic<int>> runs(200);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    for (int round = 0; round < 3; ++round) {
+        executor.runAll(runs.size(), [&](Worker &worker, std::size_t i) {
+            EXPECT_LT(worker.index, 3u);
+            runs[i].fetch_add(1);
+            std::lock_guard<std::mutex> lock(mutex);
+            threads.insert(std::this_thread::get_id());
+        });
+    }
+    for (const std::atomic<int> &count : runs)
+        EXPECT_EQ(count.load(), 3);
+    // The same three threads served every round: no per-run spawns.
+    EXPECT_LE(threads.size(), 3u);
+    EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(ExecutorTest, CloseRunsEverySubmittedTaskThenRefuses)
+{
+    ExecutorConfig config;
+    config.workers = 2;
+    Executor executor(config);
+    std::atomic<int> ran{0};
+    for (unsigned i = 0; i < 50; ++i)
+        ASSERT_TRUE(executor.submit(i, [&](Worker &) { ++ran; }));
+    executor.close();
+    EXPECT_EQ(ran.load(), 50);
+    EXPECT_FALSE(executor.submit(0, [&](Worker &) { ++ran; }));
+    executor.close(); // idempotent
+    EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(ExecutorTest, SharedPoolIsReusedPerWorkerCount)
+{
+    Executor &two = Executor::shared(2);
+    EXPECT_EQ(&two, &Executor::shared(2));
+    EXPECT_EQ(two.workers(), 2u);
+    EXPECT_NE(&two, &Executor::shared(3));
+    EXPECT_EQ(Executor::shared(0).workers(), 1u);
+}
+
+// --- CallRecorder -----------------------------------------------------
+
+TEST(CallRecorderTest, HandlesAreResolvedOnceAndAttributedPerTenant)
+{
+    Rng rng(5);
+    const Bytes payload = corpus::generateMixed(8 * kKiB, rng, 2 * kKiB);
+    CallRecorder recorder(kServeCallNames, 2, nullptr, {"test.events"});
+    Worker worker;
+    for (u64 i = 0; i < 6; ++i) {
+        hcb::ReplayCall call;
+        call.id = i;
+        call.codec = i % 2 ? codec::CodecId::zstdlite
+                           : codec::CodecId::snappy;
+        call.payload = ByteSpan(payload.data(), payload.size());
+        const CallResult result = recorder.run(worker, call);
+        ASSERT_TRUE(result.status.ok());
+        recorder.record(static_cast<unsigned>(i % 2), call, result, 1000,
+                        i < 4 ? std::optional<u64>(7) : std::nullopt);
+        recorder.countEvent(0, 0, 2, u64{7});
+    }
+
+    const obs::CounterSnapshot work = recorder.work();
+    EXPECT_EQ(work.at("serve.calls"), 6u);
+    EXPECT_EQ(work.at("serve.calls.snappy"), 3u);
+    EXPECT_EQ(work.at("serve.calls.zstdlite"), 3u);
+    EXPECT_EQ(work.at("serve.calls.compress"), 6u);
+    EXPECT_FALSE(work.has("serve.calls.decompress"));
+    EXPECT_FALSE(work.has("serve.failures"));
+    EXPECT_EQ(work.at("serve.bytes.in"), 6 * payload.size());
+    EXPECT_EQ(work.at("serve.tenant.calls.t7"), 4u);
+    EXPECT_EQ(work.at("serve.tenant.bytes_in.t7"), 4 * payload.size());
+    u64 kernel_work = 0;
+    for (const auto &[name, value] : work.counters)
+        if (name.rfind("kernel.", 0) == 0)
+            kernel_work += value;
+    EXPECT_GT(kernel_work, 0u); // per-call fast-path deltas were kept
+
+    const obs::CounterSnapshot runtime = recorder.runtime();
+    EXPECT_EQ(runtime.histogramAt("serve.latency_ns").count, 6u);
+    EXPECT_EQ(runtime.at("test.events"), 12u);
+    EXPECT_EQ(runtime.at("test.events.t7"), 12u);
+    u64 cells = 0;
+    for (const auto &[name, hist] : runtime.histograms)
+        if (name.rfind("serve.latency_ns.by.", 0) == 0)
+            cells += hist.count;
+    EXPECT_EQ(cells, 6u);
+}
+
+TEST(CallRecorderTest, FailedCallIsCountedAsAFailure)
+{
+    CallRecorder recorder(kContainerCallNames, 1);
+    Worker worker;
+    const Bytes junk = {0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+    hcb::ReplayCall call;
+    call.codec = codec::CodecId::snappy;
+    call.direction = codec::Direction::decompress;
+    call.payload = ByteSpan(junk.data(), junk.size());
+    const CallResult result = recorder.run(worker, call);
+    EXPECT_FALSE(result.status.ok());
+    recorder.record(0, call, result, 0);
+
+    const obs::CounterSnapshot work = recorder.work();
+    EXPECT_EQ(work.at("container.blocks"), 1u);
+    EXPECT_EQ(work.at("container.blocks.failed"), 1u);
+    EXPECT_FALSE(work.has("container.blocks.ok"));
+    EXPECT_FALSE(work.has("container.block_regen_bytes"));
+    // No latency name: the container records no runtime histograms.
+    EXPECT_TRUE(recorder.runtime().histograms.empty());
 }
 
 // --- Engine determinism ----------------------------------------------
