@@ -1,25 +1,33 @@
 /**
  * @file
- * Shared helpers for the figure-reproduction bench binaries.
+ * Shared helpers for the bench binaries.
  *
  * Every bench binary accepts `--json <path>` and, when given, writes a
  * stable machine-readable record via BenchReport next to its human
  * output. The record is the repo's perf trajectory format
  * (BENCH_*.json): benchmark id, config, metrics, and the counter
  * snapshot of the measured PU.
+ *
+ * The second half is bench_scaling's sweep harness: the worker ladder,
+ * interleaved rounds summarized as median/min/IQR, the host
+ * parallelism probe, and the speedup headline keyed on that probe.
  */
 
 #ifndef CDPU_BENCH_BENCH_COMMON_H_
 #define CDPU_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "codec/registry.h"
 #include "common/cli.h"
+#include "common/table.h"
 #include "hyperbench/suite_generator.h"
 #include "obs/counters.h"
 #include "obs/json.h"
@@ -191,6 +199,230 @@ class BenchReport
     obs::JsonValue metrics_ = obs::JsonValue::object();
     obs::CounterSnapshot counters_;
 };
+
+// --- Worker-count sweeps (bench_scaling) ---------------------------------
+
+/** Rounds per sweep point. A round runs every point once, so slow drift
+ *  of a shared host spreads over all points instead of biasing one. */
+inline constexpr int kScalingRounds = 5;
+
+/** The 1, 2, 4, ... worker ladder, ending at @p max_workers. */
+inline std::vector<unsigned>
+workerLadder(unsigned max_workers)
+{
+    max_workers = std::max(1u, max_workers);
+    std::vector<unsigned> ladder;
+    for (unsigned workers = 1; workers < max_workers; workers *= 2)
+        ladder.push_back(workers);
+    ladder.push_back(max_workers);
+    return ladder;
+}
+
+/** Median, minimum and interquartile range of one point's rounds. */
+struct Spread
+{
+    double median = 0.0;
+    double min = 0.0;
+    double iqr = 0.0;
+};
+
+/** Quartiles are linearly interpolated between order statistics. */
+inline Spread
+spreadOf(std::vector<double> samples)
+{
+    Spread spread;
+    if (samples.empty())
+        return spread;
+    std::sort(samples.begin(), samples.end());
+    auto quantile = [&](double q) {
+        const double rank = q * static_cast<double>(samples.size() - 1);
+        const auto lo = static_cast<std::size_t>(rank);
+        const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+        return samples[lo] +
+               (samples[hi] - samples[lo]) *
+                   (rank - static_cast<double>(lo));
+    };
+    spread.median = quantile(0.5);
+    spread.min = samples.front();
+    spread.iqr = quantile(0.75) - quantile(0.25);
+    return spread;
+}
+
+/**
+ * Threads' worth of work the host runs at once, measured rather than
+ * read from nproc: a calibrated ~100 ms integer spin on one thread and
+ * on @p threads threads together, threads * t(1) / t(threads), median
+ * of three (the same method as perfbench's probe). A shared or
+ * throttled host reads below its nproc.
+ */
+inline double
+probeParallelism(unsigned threads)
+{
+    threads = std::max(1u, threads);
+    auto spin = [](u64 iterations) {
+        const auto start = std::chrono::steady_clock::now();
+        u64 x = 0x9e3779b97f4a7c15ull;
+        for (u64 i = 0; i < iterations; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+        }
+        volatile u64 sink = x;
+        (void)sink;
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    u64 iterations = u64{1} << 18;
+    double seconds = spin(iterations);
+    while (seconds < 0.01) {
+        iterations *= 2;
+        seconds = spin(iterations);
+    }
+    iterations = static_cast<u64>(static_cast<double>(iterations) * 0.1 /
+                                  seconds);
+    std::vector<double> one, all;
+    for (int rep = 0; rep < 3; ++rep) {
+        one.push_back(spin(iterations));
+        const auto start = std::chrono::steady_clock::now();
+        std::vector<std::thread> pool;
+        for (unsigned t = 0; t < threads; ++t)
+            pool.emplace_back([&] { spin(iterations); });
+        for (std::thread &thread : pool)
+            thread.join();
+        all.push_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    }
+    return threads * spreadOf(one).median / spreadOf(all).median;
+}
+
+/** A point asked for more parallelism than the probe saw delivered
+ *  (under 80% of one thread per worker): its scaling is time-slicing. */
+inline bool
+coreBound(unsigned workers, double parallelism)
+{
+    return parallelism < 0.8 * workers;
+}
+
+/** One sweep point: per-round throughput, the latency histogram merged
+ *  over its rounds (empty when the mode has none), and mode fields
+ *  copied into its record (a field set every round keeps the last). */
+struct SweepPoint
+{
+    std::string label;
+    unsigned workers = 1;
+    std::vector<double> mbPerSec;
+    obs::HistogramSnapshot latency;
+    obs::JsonValue fields = obs::JsonValue::object();
+};
+
+/**
+ * The speedup headline of one sweep. Both throughput endpoints are
+ * always reported: mb_per_sec_1w, the best 1-worker median, and
+ * mb_per_sec_best, the best median of any point. speedup_best is the
+ * best median among points with >= 2 workers that are not core-bound,
+ * over mb_per_sec_1w; with no such point the section says
+ * core_bound: true and makes no speedup claim.
+ */
+inline void
+scalingHeadline(obs::JsonValue &section,
+                const std::vector<SweepPoint> &points, double parallelism)
+{
+    double one_worker = 0.0, best = 0.0, best_scaled = 0.0;
+    bool scaled = false;
+    for (const SweepPoint &point : points) {
+        const double median = spreadOf(point.mbPerSec).median;
+        best = std::max(best, median);
+        if (point.workers == 1) {
+            one_worker = std::max(one_worker, median);
+        } else if (!coreBound(point.workers, parallelism)) {
+            best_scaled = std::max(best_scaled, median);
+            scaled = true;
+        }
+    }
+    section.set("mb_per_sec_1w", one_worker);
+    section.set("mb_per_sec_best", best);
+    section.set("core_bound", !scaled);
+    if (scaled)
+        section.set("speedup_best", best_scaled / one_worker);
+}
+
+/**
+ * Runs one sweep: probes the host's parallelism at @p probe_threads,
+ * calls @p run_round(round) kScalingRounds times (each call runs every
+ * point once and returns false when a differential gate fails, which
+ * ends the sweep), probes again, and summarizes @p points into a
+ * section of the record. P, the smaller probe reading, decides which
+ * points are core-bound. Prints the sweep's table.
+ */
+template <typename RunRound>
+bool
+runSweep(const char *title, unsigned probe_threads,
+         const std::vector<SweepPoint> &points, RunRound run_round,
+         obs::JsonValue &section)
+{
+    const double before = probeParallelism(probe_threads);
+    for (int round = 0; round < kScalingRounds; ++round) {
+        if (!run_round(round))
+            return false;
+    }
+    const double after = probeParallelism(probe_threads);
+    const double parallelism = std::min(before, after);
+
+    section.set("probe_threads", u64{probe_threads});
+    section.set("parallelism_before", before);
+    section.set("parallelism_after", after);
+    section.set("rounds", u64{kScalingRounds});
+    std::printf("\n== %s: parallelism %.2f before, %.2f after, of %u "
+                "threads ==\n",
+                title, before, after, probe_threads);
+    TablePrinter table({"point", "workers", "MB/s", "min", "IQR",
+                        "p50(us)", "p99(us)", "p99.9(us)", "bound"});
+    obs::JsonValue sweep = obs::JsonValue::array();
+    for (const SweepPoint &point : points) {
+        const Spread spread = spreadOf(point.mbPerSec);
+        const bool bound = coreBound(point.workers, parallelism);
+        obs::JsonValue json = obs::JsonValue::object();
+        for (const auto &[key, value] : point.fields.members())
+            json.set(key, value);
+        json.set("workers", u64{point.workers});
+        json.set("core_bound", bound);
+        json.set("mb_per_sec", spread.median);
+        json.set("mb_per_sec_min", spread.min);
+        json.set("mb_per_sec_iqr", spread.iqr);
+        std::vector<std::string> row = {
+            point.label, std::to_string(point.workers),
+            TablePrinter::num(spread.median, 1),
+            TablePrinter::num(spread.min, 1),
+            TablePrinter::num(spread.iqr, 1)};
+        for (const auto &[key, q] :
+             {std::pair{"latency_p50_us", 0.50},
+              std::pair{"latency_p99_us", 0.99},
+              std::pair{"latency_p999_us", 0.999}}) {
+            if (point.latency.count == 0) {
+                row.push_back("-");
+                continue;
+            }
+            const double us = point.latency.percentile(q) / 1e3;
+            json.set(key, us);
+            row.push_back(TablePrinter::num(us, 1));
+        }
+        row.push_back(bound ? "core" : "");
+        table.addRow(std::move(row));
+        sweep.push(std::move(json));
+    }
+    std::printf("%s", table.render().c_str());
+    section.set("sweep", std::move(sweep));
+    scalingHeadline(section, points, parallelism);
+    if (section.has("speedup_best"))
+        std::printf("best speedup over 1 worker: %.2fx\n",
+                    section.at("speedup_best").asDouble());
+    else
+        std::printf("core-bound: no point with >= 2 workers got its "
+                    "threads, so no speedup claim\n");
+    return true;
+}
 
 } // namespace cdpu::bench
 

@@ -2,7 +2,7 @@
  * @file
  * obsctl: render any telemetry JSON this repo emits as a report.
  *
- *   ./build/examples/obsctl BENCH_serve.json
+ *   ./build/examples/obsctl BENCH_scaling.json
  *   ./build/examples/obsctl --section slo /tmp/run.json
  *   ./build/examples/obsctl --last 16 fault_dump.json
  *
@@ -46,7 +46,8 @@ barOf(double value, double max, int width = 24)
     return std::string(static_cast<std::size_t>(fill), '#');
 }
 
-/** Bench-record preamble: what ran, when, and on how many cores. */
+/** Bench-record preamble: what ran, when, on how many cpus, and how
+ *  much parallelism each sweep's probe saw delivered. */
 void
 renderProvenance(const JsonValue &document)
 {
@@ -55,14 +56,26 @@ renderProvenance(const JsonValue &document)
         return;
     std::printf("benchmark: %s\n",
                 document.at("benchmark").asString().c_str());
-    if (config->has("host_cpus"))
-        std::printf("host cpus: %llu%s\n",
+    if (config->has("nproc"))
+        std::printf("nproc:     %llu\n",
                     static_cast<unsigned long long>(
-                        config->at("host_cpus").asU64()),
-                    config->has("core_bound") &&
-                            config->at("core_bound").asBool()
-                        ? "   [core-bound: sweep exceeds host cores]"
-                        : "");
+                        config->at("nproc").asU64()));
+    if (const JsonValue *metrics = document.find("metrics")) {
+        for (const auto &[name, sweep] : metrics->members()) {
+            if (!sweep.isObject() || !sweep.has("parallelism_before"))
+                continue;
+            std::printf("probe:     %s %.2f before, %.2f after, of %llu "
+                        "threads%s\n",
+                        name.c_str(),
+                        sweep.at("parallelism_before").asDouble(),
+                        sweep.at("parallelism_after").asDouble(),
+                        static_cast<unsigned long long>(
+                            sweep.at("probe_threads").asU64()),
+                        sweep.at("core_bound").asBool()
+                            ? "   [core-bound: no speedup claim]"
+                            : "");
+        }
+    }
     if (config->has("wall_clock_start"))
         std::printf("started:   %s\n",
                     config->at("wall_clock_start").asString().c_str());

@@ -174,17 +174,6 @@ Status decodeParallel(ByteSpan frame, unsigned workers, Bytes &out,
                       const DecodeOptions &options = {},
                       DecodeReport *report = nullptr);
 
-/**
- * The honesty policy for bench speedup headlines, shared by
- * bench_container and its JSON-shape regression test: scaling
- * measured on a single-core host is time-slicing, not parallelism,
- * so with host_cpus <= 1 the record carries core_bound=true and NO
- * speedup_best claim; otherwise both throughput endpoints and the
- * speedup ratio are reported (core_bound=false).
- */
-void speedupHeadline(obs::JsonValue &metrics, unsigned host_cpus,
-                     double mb_per_sec_1w, double mb_per_sec_best);
-
 } // namespace cdpu::container
 
 #endif // CDPU_CONTAINER_CONTAINER_H_

@@ -272,23 +272,4 @@ parseIndex(ByteSpan frame)
     return index;
 }
 
-void
-speedupHeadline(obs::JsonValue &metrics, unsigned host_cpus,
-                double mb_per_sec_1w, double mb_per_sec_best)
-{
-    metrics.set("mb_per_sec_1w", mb_per_sec_1w);
-    metrics.set("mb_per_sec_best", mb_per_sec_best);
-    if (host_cpus <= 1) {
-        // One core cannot demonstrate parallel speedup: any ratio here
-        // is scheduler noise over time-sliced workers, so the record
-        // says core_bound instead of claiming a headline.
-        metrics.set("core_bound", true);
-        return;
-    }
-    metrics.set("core_bound", false);
-    metrics.set("speedup_best",
-                mb_per_sec_1w > 0.0 ? mb_per_sec_best / mb_per_sec_1w
-                                    : 0.0);
-}
-
 } // namespace cdpu::container

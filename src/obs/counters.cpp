@@ -54,8 +54,14 @@ HistogramSnapshot::percentile(double q) const
             // [min, max] as the interpolation range they separate.
             lo = std::max(lo, static_cast<double>(min));
             hi = std::min(hi, static_cast<double>(max));
+            // A fractional rank between the previous bucket's last
+            // sample and this bucket's first lands below `first`; the
+            // clamp keeps it at this bucket's floor, so the result
+            // never falls below a lower quantile's.
             double fraction =
-                buckets[i] > 1 ? (rank - first) / (last - first) : 0.0;
+                buckets[i] > 1
+                    ? std::clamp((rank - first) / (last - first), 0.0, 1.0)
+                    : 0.0;
             double value = lo + fraction * (hi - lo);
             return std::clamp(value, static_cast<double>(min),
                               static_cast<double>(max));

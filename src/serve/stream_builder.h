@@ -35,7 +35,7 @@ struct StreamConfig
      *  Streaming decompress payloads use the session container. */
     double streamingFraction = 0.0;
     /** Codecs to round-robin across. Empty means every codec in the
-     *  registry (codec::allCodecs()); bench_serve's --codec flag
+     *  registry (codec::allCodecs()); bench_scaling's --codec flag
      *  narrows this to one. */
     std::vector<codec::CodecId> codecs;
     u64 seed = 2023;

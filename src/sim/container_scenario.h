@@ -14,8 +14,8 @@
  * dispatched in index order, each to the PU that frees earliest (ties
  * to the lowest PU id), after a fixed per-dispatch overhead modeling
  * call assembly and index walk. Per-block cycle costs come from the
- * caller — bench_container feeds real PU cycle counts from cdpu/
- * (SnappyDecompressorPU etc.), tests feed synthetic costs.
+ * caller — bench_scaling's container mode feeds real PU cycle counts
+ * from cdpu/ (SnappyDecompressorPU etc.), tests feed synthetic costs.
  */
 
 #ifndef CDPU_SIM_CONTAINER_SCENARIO_H_

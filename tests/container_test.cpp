@@ -9,8 +9,7 @@
  * FailureClass verdict. The grids below run that comparison across
  * every registry codec x corpus classes x block sizes {4 KiB, 64 KiB,
  * 1 MiB, whole} x workers {1, 2, 8}, then pin the index validator's
- * individual rejections on hand-crafted frames and the bench's
- * core-bound headline policy on the shared speedupHeadline helper.
+ * individual rejections on hand-crafted frames.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "container/container.h"
 #include "corpus/generators.h"
 #include "harden/injector.h"
-#include "obs/json.h"
 
 namespace cdpu
 {
@@ -386,31 +384,6 @@ TEST(ContainerIndexTest, WriteRejectsAbsurdBlockCounts)
                                  frame);
     EXPECT_EQ(failureClass(ws), FailureClass::usageError)
         << ws.toString();
-}
-
-// ---------------------------------------------------------------------
-// Bench headline policy (the BENCH_container.json shape contract).
-// ---------------------------------------------------------------------
-
-TEST(ContainerHeadlineTest, SingleCoreHostRefusesSpeedupClaim)
-{
-    obs::JsonValue metrics = obs::JsonValue::object();
-    container::speedupHeadline(metrics, 1, 100.0, 250.0);
-    EXPECT_TRUE(metrics.at("core_bound").asBool());
-    EXPECT_FALSE(metrics.has("speedup_best"));
-    // Raw endpoints stay reported either way — the refusal is about
-    // the ratio's meaning, not about hiding data.
-    EXPECT_DOUBLE_EQ(metrics.at("mb_per_sec_1w").asDouble(), 100.0);
-    EXPECT_DOUBLE_EQ(metrics.at("mb_per_sec_best").asDouble(), 250.0);
-}
-
-TEST(ContainerHeadlineTest, MultiCoreHostReportsSpeedup)
-{
-    obs::JsonValue metrics = obs::JsonValue::object();
-    container::speedupHeadline(metrics, 8, 100.0, 250.0);
-    EXPECT_FALSE(metrics.at("core_bound").asBool());
-    ASSERT_TRUE(metrics.has("speedup_best"));
-    EXPECT_DOUBLE_EQ(metrics.at("speedup_best").asDouble(), 2.5);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/counters.h"
 #include "obs/json.h"
 #include "obs/kernel_stats.h"
@@ -360,6 +361,59 @@ TEST(HistogramTest, PercentileOfEmptyAndSingle)
     histogram.record(77);
     EXPECT_DOUBLE_EQ(histogram.snapshot().percentile(0.5), 77.0);
     EXPECT_DOUBLE_EQ(histogram.snapshot().percentile(0.99), 77.0);
+}
+
+/** The invariants every published percentile relies on: bucket counts
+ *  sum to count, and percentile never decreases on a 1,001-point q grid
+ *  and stays inside [min, max]. */
+void
+expectWellFormed(const HistogramSnapshot &snapshot, u64 trial)
+{
+    u64 total = 0;
+    for (u64 bucket : snapshot.buckets)
+        total += bucket;
+    ASSERT_EQ(total, snapshot.count) << "trial " << trial;
+    double previous = snapshot.percentile(0.0);
+    for (int step = 0; step <= 1000; ++step) {
+        const double q = step / 1000.0;
+        const double value = snapshot.percentile(q);
+        ASSERT_GE(value, previous) << "trial " << trial << " q " << q;
+        ASSERT_GE(value, static_cast<double>(snapshot.min))
+            << "trial " << trial << " q " << q;
+        ASSERT_LE(value, static_cast<double>(snapshot.max))
+            << "trial " << trial << " q " << q;
+        previous = value;
+    }
+}
+
+HistogramSnapshot
+randomLatencies(Rng &rng)
+{
+    Histogram histogram;
+    const u64 samples = rng.range(2, 2000);
+    const double mu = 6.0 + 8.0 * rng.uniform();
+    const double sigma = 0.2 + 2.0 * rng.uniform();
+    for (u64 i = 0; i < samples; ++i)
+        histogram.record(static_cast<u64>(rng.logNormal(mu, sigma)));
+    return histogram.snapshot();
+}
+
+TEST(HistogramTest, RandomHistogramsKeepPercentilesMonotoneAndBounded)
+{
+    // Regression: a rank between the last sample of one bucket and the
+    // first of the next interpolated with a negative fraction, so e.g.
+    // p99 could read below p90.
+    Rng rng(20261017);
+    for (u64 trial = 0; trial < 1000; ++trial) {
+        const HistogramSnapshot first = randomLatencies(rng);
+        expectWellFormed(first, trial);
+        HistogramSnapshot merged = first;
+        merged.merge(randomLatencies(rng));
+        expectWellFormed(merged, trial);
+        expectWellFormed(merged.diff(first), trial);
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 // --- TraceSession -------------------------------------------------------
