@@ -12,12 +12,18 @@
  * Both readers refill from memory one unaligned 64-bit word at a time
  * (common/mem.h) and only fall back to byte-stepping for streams
  * shorter than a word; refill counts land in mem::kernelStats().
+ *
+ * bitWindow() is the unchecked primitive under the fused decode loops
+ * (huffman, zstdlite sequences, flatelite, gipfeli): one load yields
+ * several symbols, and the caller checks its cursor against the
+ * stream length once per element rather than once per read.
  */
 
 #ifndef CDPU_COMMON_BITIO_H_
 #define CDPU_COMMON_BITIO_H_
 
 #include <cassert>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/mem.h"
@@ -25,6 +31,24 @@
 
 namespace cdpu
 {
+
+/**
+ * The bits of LSB-first stream [@p data, @p data + @p size) from bit
+ * @p start upward, in the low bits of the result: at least 57 valid
+ * bits, with bits past the end of the stream reading as zero. No
+ * Status and no kernelStats(); callers own the bounds verdict.
+ */
+inline u64
+bitWindow(const u8 *data, std::size_t size, u64 start)
+{
+    const std::size_t byte = static_cast<std::size_t>(start >> 3);
+    u64 word = 0;
+    if (byte + 8 <= size)
+        word = mem::loadU64(data + byte);
+    else if (byte < size)
+        std::memcpy(&word, data + byte, size - byte);
+    return word >> (start & 7);
+}
 
 /**
  * Accumulates bits LSB-first into a byte buffer.
@@ -104,6 +128,18 @@ class BitReader
     }
 
     u64 bitPos() const { return bitPos_; }
+
+    /** The whole stream, for fused loops that refill with bitWindow()
+     *  and hand the cursor back through seek(). */
+    ByteSpan data() const { return data_; }
+
+    /** Moves the cursor to @p bit_pos. @pre bit_pos <= data().size() * 8. */
+    void
+    seek(u64 bit_pos)
+    {
+        assert(bit_pos <= data_.size() * 8);
+        bitPos_ = bit_pos;
+    }
 
     /**
      * Returns the next @p nbits without consuming them; bits past the

@@ -89,19 +89,18 @@ decodeBlock(serve::CallRecorder &recorder, serve::Worker &worker,
             "block " + std::to_string(i) + " regenerated " +
             std::to_string(result.output.size()) +
             " bytes, index claims " + std::to_string(entry.regenSize));
+        recorder.record(worker.index, call, result, 0);
+        return result.status;
     }
     recorder.record(worker.index, call, result, 0);
-    if (result.status.ok()) {
-        std::memcpy(out.data() +
-                        static_cast<std::size_t>(plan.dstOffsets[i]),
-                    result.output.data(), result.output.size());
-        return result.status;
+    if (!result.status.ok()) {
+        return Status(result.status.code(), "block " + std::to_string(i) +
+                                                ": " +
+                                                result.status.message());
     }
-    if (result.status.message().starts_with("block "))
-        return result.status;
-    return Status(result.status.code(), "block " + std::to_string(i) +
-                                            ": " +
-                                            result.status.message());
+    std::memcpy(out.data() + static_cast<std::size_t>(plan.dstOffsets[i]),
+                result.output.data(), result.output.size());
+    return result.status;
 }
 
 /** Both paths: @p pool fans the blocks out, null decodes them in order

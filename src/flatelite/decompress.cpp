@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bitio.h"
+#include "common/mem.h"
 #include "common/varint.h"
 #include "huffman/code_builder.h"
 #include "huffman/decoder.h"
@@ -31,6 +32,47 @@ unpackLengths(ByteSpan packed, std::size_t count)
     return lengths;
 }
 
+/** A compressed block's canonical codes; the distance code is absent
+ *  when the block transmits no distance lengths. */
+struct BlockCodes
+{
+    huffman::CodeTable litlen;
+    huffman::CodeTable dist;
+    bool hasDistances = false;
+};
+
+/** Parses the packed code lengths at @p pos (advanced past them). */
+Result<BlockCodes>
+readBlockCodes(ByteSpan data, std::size_t &pos)
+{
+    const std::size_t litlen_bytes = (kLitLenAlphabet + 1) / 2;
+    const std::size_t dist_bytes = kDistanceAlphabet / 2;
+    if (pos + litlen_bytes + dist_bytes > data.size())
+        return Status::corrupt("flate tables truncated");
+    auto litlen_lengths = unpackLengths(data.subspan(pos, litlen_bytes),
+                                        kLitLenAlphabet);
+    pos += litlen_bytes;
+    auto dist_lengths =
+        unpackLengths(data.subspan(pos, dist_bytes), kDistanceAlphabet);
+    pos += dist_bytes;
+
+    BlockCodes codes;
+    auto litlen = huffman::codesFromLengths(litlen_lengths);
+    if (!litlen.ok())
+        return litlen.status();
+    codes.litlen = std::move(litlen).value();
+    codes.hasDistances =
+        std::any_of(dist_lengths.begin(), dist_lengths.end(),
+                    [](u8 len) { return len != 0; });
+    if (codes.hasDistances) {
+        auto dist = huffman::codesFromLengths(dist_lengths);
+        if (!dist.ok())
+            return dist.status();
+        codes.dist = std::move(dist).value();
+    }
+    return codes;
+}
+
 /** Table-driven decode of one symbol from an LSB-first stream.
  *  Returns a 16-bit symbol (the lit/len alphabet exceeds a byte). */
 Result<u16>
@@ -42,6 +84,315 @@ decodeSymbol(const huffman::Decoder &decoder, BitReader &reader)
         return Status::corrupt("invalid flate code");
     CDPU_RETURN_IF_ERROR(reader.advance(entry.length));
     return entry.symbol;
+}
+
+/**
+ * Reference path: decodes one compressed block symbol by symbol,
+ * appending to @p out and recording the sequences and symbol counts
+ * the Flate PU model reads. The fused path is tested against it.
+ */
+Status
+decodeBlockReference(const BlockCodes &codes, ByteSpan stream,
+                     u64 window, std::size_t regen_size, Bytes &out,
+                     BlockTrace &block_trace)
+{
+    auto litlen_decoder = huffman::Decoder::build(codes.litlen);
+    if (!litlen_decoder.ok())
+        return litlen_decoder.status();
+    huffman::Decoder dist_decoder;
+    if (codes.hasDistances) {
+        auto built = huffman::Decoder::build(codes.dist);
+        if (!built.ok())
+            return built.status();
+        dist_decoder = std::move(built).value();
+    }
+
+    BitReader reader(stream);
+    std::size_t produced_before = out.size();
+    std::size_t pending_literals = 0;
+    for (;;) {
+        auto symbol = decodeSymbol(litlen_decoder.value(), reader);
+        if (!symbol.ok())
+            return symbol.status();
+        ++block_trace.symbolCount;
+        if (symbol.value() == kEndOfBlock)
+            break;
+        if (symbol.value() < 256) {
+            out.push_back(static_cast<u8>(symbol.value()));
+            ++pending_literals;
+            ++block_trace.literalBytes;
+            if (out.size() - produced_before > regen_size)
+                return Status::corrupt("flate block overruns");
+            continue;
+        }
+        auto len_bin = lengthFromCode(symbol.value());
+        if (!len_bin.ok())
+            return len_bin.status();
+        auto len_extra = reader.read(len_bin.value().extraBits);
+        if (!len_extra.ok())
+            return len_extra.status();
+        u32 length = len_bin.value().baseline +
+                     static_cast<u32>(len_extra.value());
+
+        if (!codes.hasDistances)
+            return Status::corrupt("match without distance table");
+        auto dist_symbol = decodeSymbol(dist_decoder, reader);
+        if (!dist_symbol.ok())
+            return dist_symbol.status();
+        ++block_trace.symbolCount;
+        auto dist_bin = distanceFromCode(dist_symbol.value());
+        if (!dist_bin.ok())
+            return dist_bin.status();
+        auto dist_extra = reader.read(dist_bin.value().extraBits);
+        if (!dist_extra.ok())
+            return dist_extra.status();
+        u32 distance = dist_bin.value().baseline +
+                       static_cast<u32>(dist_extra.value());
+
+        if (distance == 0 || distance > out.size())
+            return Status::corrupt("flate distance exceeds history");
+        if (distance > window)
+            return Status::corrupt("flate distance exceeds window");
+        if (out.size() - produced_before + length > regen_size)
+            return Status::corrupt("flate block overruns");
+
+        lz77::Sequence seq;
+        seq.literalLength = static_cast<u32>(pending_literals);
+        seq.matchLength = length;
+        seq.offset = distance;
+        block_trace.sequences.push_back(seq);
+        pending_literals = 0;
+
+        std::size_t from = out.size() - distance;
+        for (u32 i = 0; i < length; ++i)
+            out.push_back(out[from + i]);
+    }
+    if (out.size() - produced_before != regen_size)
+        return Status::corrupt("flate block size mismatch");
+    return Status::okStatus();
+}
+
+/**
+ * Two-level decode table for the fused loop, built the way zlib's
+ * inflate builds its own: a root indexed by the next kRootBits bits
+ * (fewer when no code is that long) and, for longer codes, a
+ * second-level table per root prefix. Each entry carries what its
+ * symbol means, so a literal, a length or a distance costs one or two
+ * L1-resident lookups and no further binning.
+ */
+class FastTable
+{
+  public:
+    static constexpr unsigned kRootBits = 10;
+
+    /** Entry kinds; kBase carries its extra-bit count in the low 4. */
+    static constexpr u8 kLiteral = 0x00;
+    static constexpr u8 kBase = 0x10; ///< value = baseline; | extra bits.
+    static constexpr u8 kEnd = 0x20;
+    static constexpr u8 kLink = 0x40; ///< value = sub-table offset.
+
+    struct Entry
+    {
+        u16 value = 0; ///< Literal byte, baseline or sub-table offset.
+        u8 bits = 0;   ///< Code bits at this level; 0 marks no code.
+        u8 op = kLiteral;
+    };
+
+    /** @p meaning maps a symbol to its entry's value and op. */
+    template <typename Meaning>
+    FastTable(const huffman::CodeTable &codes, Meaning meaning)
+        : rootBits_(std::min(codes.maxBits, kRootBits)),
+          subBits_(codes.maxBits - rootBits_),
+          entries_(std::size_t{1} << rootBits_)
+    {
+        const u32 root_mask = (1u << rootBits_) - 1;
+        for (std::size_t sym = 0; sym < codes.numSymbols(); ++sym) {
+            const unsigned len = codes.lengths[sym];
+            if (len == 0)
+                continue;
+            Entry entry = meaning(static_cast<u16>(sym));
+            u32 code = codes.codes[sym];
+            std::size_t base = 0;
+            std::size_t span = std::size_t{1} << rootBits_;
+            if (len > rootBits_) {
+                // Codes are prefix-free, so a root slot holding a long
+                // code's prefix holds only links.
+                const u32 root = code & root_mask;
+                if (entries_[root].op != kLink) {
+                    entries_[root] = {static_cast<u16>(entries_.size()),
+                                      static_cast<u8>(rootBits_), kLink};
+                    entries_.resize(entries_.size() +
+                                    (std::size_t{1} << subBits_));
+                }
+                base = entries_[root].value;
+                span = std::size_t{1} << subBits_;
+                code >>= rootBits_;
+            }
+            entry.bits = static_cast<u8>(len > rootBits_ ? len - rootBits_
+                                                          : len);
+            for (std::size_t idx = code; idx < span;
+                 idx += std::size_t{1} << entry.bits)
+                entries_[base + idx] = entry;
+        }
+    }
+
+    /** The table as plain values, for the decode loop to keep in
+     *  registers (stores through the output pointer may alias any
+     *  member it would otherwise reload). */
+    struct View
+    {
+        const Entry *entries;
+        unsigned rootBits;
+        u32 rootMask;
+        u32 subMask;
+
+        /** The entry for the code at the bottom of @p window; @p used
+         *  gets the bits it spans. A result with bits == 0 is no code. */
+        Entry
+        decode(u64 window, unsigned &used) const
+        {
+            Entry entry = entries[window & rootMask];
+            used = entry.bits;
+            if (entry.op == kLink) {
+                entry = entries[entry.value +
+                                ((window >> rootBits) & subMask)];
+                used = rootBits + entry.bits;
+            }
+            return entry;
+        }
+    };
+
+    View
+    view() const
+    {
+        return {entries_.data(), rootBits_, (1u << rootBits_) - 1,
+                (1u << subBits_) - 1};
+    }
+
+  private:
+    unsigned rootBits_;
+    unsigned subBits_;
+    std::vector<Entry> entries_;
+};
+
+static_assert(sizeof(FastTable::Entry) == 4);
+
+/** An element writes at most one match plus wildCopy's slop. */
+constexpr std::size_t kElementRoom = kMaxMatchLength + mem::kWildCopySlop;
+
+/**
+ * Grows @p out so an element can start at @p op: geometrically with
+ * what has been produced, capped at the block's claimed end, so a
+ * tampered block size never drives an allocation.
+ */
+void
+growForElement(Bytes &out, std::size_t op, std::size_t block_end)
+{
+    out.resize(std::max(op + kElementRoom,
+                        std::min(2 * out.size() + 4 * kKiB,
+                                 block_end + kElementRoom)));
+}
+
+/**
+ * Fused path: decodes one compressed block straight into @p out, whose
+ * first @p op bytes are history; @p op ends one past the last byte
+ * written, and the caller trims @p out to it. Each element (a literal,
+ * or a length and distance with their extra bits, at most 48 bits)
+ * decodes from one bitWindow() and is checked once against the block
+ * budget, the history and the window. Bits past the stream end read
+ * as zero; the cursor check before each element and at the
+ * end-of-block symbol rejects any element that crossed the end, which
+ * is exactly when the per-read reference fails. Same verdicts as
+ * decodeBlockReference().
+ */
+Status
+decodeBlockFused(const BlockCodes &codes, ByteSpan stream, u64 window,
+                 std::size_t regen_size, Bytes &out, std::size_t &op)
+{
+    using Entry = FastTable::Entry;
+    const FastTable litlen_table(codes.litlen, [](u16 sym) {
+        if (sym < 256)
+            return Entry{sym, 0, FastTable::kLiteral};
+        if (sym == kEndOfBlock)
+            return Entry{0, 0, FastTable::kEnd};
+        // Symbols 257..285: the alphabet size bounds the code.
+        const FlateBin bin = lengthFromCode(sym).value();
+        return Entry{static_cast<u16>(bin.baseline), 0,
+                     static_cast<u8>(FastTable::kBase | bin.extraBits)};
+    });
+    const FastTable dist_table(
+        codes.hasDistances ? codes.dist : huffman::CodeTable{},
+        [](u16 sym) {
+            const FlateBin bin = distanceFromCode(sym).value();
+            return Entry{static_cast<u16>(bin.baseline), 0,
+                         static_cast<u8>(FastTable::kBase | bin.extraBits)};
+        });
+    const FastTable::View litlen = litlen_table.view();
+    const FastTable::View dist = dist_table.view();
+
+    const std::size_t block_end = op + regen_size;
+    u8 *dst = out.data();
+    std::size_t room_end = 0; // Past it, an element may not fit.
+    const u64 end_bit = u64{stream.size()} * 8;
+    u64 pos = 0;
+    for (;;) {
+        if (pos > end_bit)
+            return Status::corrupt("bit stream truncated");
+        if (op >= room_end) {
+            growForElement(out, op, block_end);
+            dst = out.data();
+            room_end = out.size() - kElementRoom;
+        }
+        const u64 bits = bitWindow(stream.data(), stream.size(), pos);
+        unsigned used = 0;
+        const Entry sym = litlen.decode(bits, used);
+        if (sym.bits == 0)
+            return Status::corrupt("invalid flate code");
+        if (sym.op == FastTable::kLiteral) {
+            if (op == block_end)
+                return Status::corrupt("flate block overruns");
+            dst[op++] = static_cast<u8>(sym.value);
+            pos += used;
+            continue;
+        }
+        if (sym.op == FastTable::kEnd) {
+            if (pos + used > end_bit)
+                return Status::corrupt("bit stream truncated");
+            if (op != block_end)
+                return Status::corrupt("flate block size mismatch");
+            return Status::okStatus();
+        }
+        const unsigned len_extra = sym.op & 0x0f;
+        const u32 length =
+            sym.value + static_cast<u32>((bits >> used) &
+                                         ((1u << len_extra) - 1));
+        used += len_extra;
+        if (!codes.hasDistances)
+            return Status::corrupt("match without distance table");
+        unsigned dist_used = 0;
+        const Entry code = dist.decode(bits >> used, dist_used);
+        if (code.bits == 0)
+            return Status::corrupt("invalid flate code");
+        used += dist_used;
+        const unsigned dist_extra = code.op & 0x0f;
+        const u32 distance =
+            code.value + static_cast<u32>((bits >> used) &
+                                          ((1u << dist_extra) - 1));
+        pos += used + dist_extra;
+
+        if (distance > op)
+            return Status::corrupt("flate distance exceeds history");
+        if (distance > window)
+            return Status::corrupt("flate distance exceeds window");
+        if (length > block_end - op)
+            return Status::corrupt("flate block overruns");
+        if (distance >= 8)
+            mem::wildCopy(dst + op, dst + op - distance, length,
+                          dst + room_end + kElementRoom);
+        else
+            mem::incrementalCopy(dst + op, distance, length);
+        op += length;
+    }
 }
 
 } // namespace
@@ -100,40 +451,9 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
             continue;
         }
 
-        // Dynamic Huffman tables.
-        std::size_t litlen_bytes = (kLitLenAlphabet + 1) / 2;
-        std::size_t dist_bytes = kDistanceAlphabet / 2;
-        if (pos + litlen_bytes + dist_bytes > data.size())
-            return Status::corrupt("flate tables truncated");
-        auto litlen_lengths = unpackLengths(
-            data.subspan(pos, litlen_bytes), kLitLenAlphabet);
-        pos += litlen_bytes;
-        auto dist_lengths = unpackLengths(
-            data.subspan(pos, dist_bytes), kDistanceAlphabet);
-        pos += dist_bytes;
-
-        auto litlen_codes = huffman::codesFromLengths(litlen_lengths);
-        if (!litlen_codes.ok())
-            return litlen_codes.status();
-        auto litlen_decoder =
-            huffman::Decoder::build(litlen_codes.value());
-        if (!litlen_decoder.ok())
-            return litlen_decoder.status();
-
-        bool has_distances =
-            std::any_of(dist_lengths.begin(), dist_lengths.end(),
-                        [](u8 len) { return len != 0; });
-        huffman::Decoder dist_decoder;
-        if (has_distances) {
-            auto dist_codes = huffman::codesFromLengths(dist_lengths);
-            if (!dist_codes.ok())
-                return dist_codes.status();
-            auto built = huffman::Decoder::build(dist_codes.value());
-            if (!built.ok())
-                return built.status();
-            dist_decoder = std::move(built).value();
-        }
-
+        auto codes = readBlockCodes(data, pos);
+        if (!codes.ok())
+            return codes.status();
         auto stream_bytes = getVarint(data, pos);
         if (!stream_bytes.ok())
             return stream_bytes.status();
@@ -141,72 +461,19 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
             return Status::corrupt("flate stream truncated");
         ByteSpan stream = data.subspan(pos, stream_bytes.value());
         pos += stream_bytes.value();
-        block_trace.streamBytes = stream.size();
 
-        BitReader reader(stream);
-        std::size_t produced_before = out.size();
-        std::size_t pending_literals = 0;
-        for (;;) {
-            auto symbol = decodeSymbol(litlen_decoder.value(), reader);
-            if (!symbol.ok())
-                return symbol.status();
-            ++block_trace.symbolCount;
-            if (symbol.value() == kEndOfBlock)
-                break;
-            if (symbol.value() < 256) {
-                out.push_back(static_cast<u8>(symbol.value()));
-                ++pending_literals;
-                ++block_trace.literalBytes;
-                if (out.size() - produced_before > regen_size)
-                    return Status::corrupt("flate block overruns");
-                continue;
-            }
-            auto len_bin = lengthFromCode(symbol.value());
-            if (!len_bin.ok())
-                return len_bin.status();
-            auto len_extra = reader.read(len_bin.value().extraBits);
-            if (!len_extra.ok())
-                return len_extra.status();
-            u32 length = len_bin.value().baseline +
-                         static_cast<u32>(len_extra.value());
-
-            if (!has_distances)
-                return Status::corrupt("match without distance table");
-            auto dist_symbol = decodeSymbol(dist_decoder, reader);
-            if (!dist_symbol.ok())
-                return dist_symbol.status();
-            ++block_trace.symbolCount;
-            auto dist_bin = distanceFromCode(dist_symbol.value());
-            if (!dist_bin.ok())
-                return dist_bin.status();
-            auto dist_extra = reader.read(dist_bin.value().extraBits);
-            if (!dist_extra.ok())
-                return dist_extra.status();
-            u32 distance = dist_bin.value().baseline +
-                           static_cast<u32>(dist_extra.value());
-
-            if (distance == 0 || distance > out.size())
-                return Status::corrupt("flate distance exceeds history");
-            if (distance > window)
-                return Status::corrupt("flate distance exceeds window");
-            if (out.size() - produced_before + length > regen_size)
-                return Status::corrupt("flate block overruns");
-
-            lz77::Sequence seq;
-            seq.literalLength = static_cast<u32>(pending_literals);
-            seq.matchLength = length;
-            seq.offset = distance;
-            block_trace.sequences.push_back(seq);
-            pending_literals = 0;
-
-            std::size_t from = out.size() - distance;
-            for (u32 i = 0; i < length; ++i)
-                out.push_back(out[from + i]);
+        if (!trace) {
+            std::size_t op = out.size();
+            Status status = decodeBlockFused(codes.value(), stream, window,
+                                             regen_size, out, op);
+            out.resize(op);
+            CDPU_RETURN_IF_ERROR(status);
+            continue;
         }
-        if (out.size() - produced_before != regen_size)
-            return Status::corrupt("flate block size mismatch");
-        if (trace)
-            trace->blocks.push_back(std::move(block_trace));
+        block_trace.streamBytes = stream.size();
+        CDPU_RETURN_IF_ERROR(decodeBlockReference(
+            codes.value(), stream, window, regen_size, out, block_trace));
+        trace->blocks.push_back(std::move(block_trace));
     }
 
     if (out.size() != header.value().contentSize)

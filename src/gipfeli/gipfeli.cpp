@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/bitio.h"
+#include "common/mem.h"
 #include "common/varint.h"
 #include "lz77/match_finder.h"
 
@@ -77,31 +78,93 @@ putLiteral(BitWriter &writer, const LiteralCode &code, u8 byte)
     }
 }
 
-Result<u8>
-getLiteral(BitReader &reader, const LiteralCode &code)
+/**
+ * One literal per lookup: maps the next 10 bits to the byte they code
+ * and the code's length, for all three classes at once. Class A codes
+ * are '0' + 5 bits, class B '10' + 6, class C '11' + 8 (LSB-first).
+ */
+struct LiteralTable
 {
-    auto first = reader.read(1);
-    if (!first.ok())
-        return first.status();
-    if (first.value() == 0) {
-        auto index = reader.read(5);
-        if (!index.ok())
-            return index.status();
-        return code.classA[index.value()];
+    std::array<u8, 1024> byte{};
+    std::array<u8, 1024> bits{};
+
+    explicit LiteralTable(const LiteralCode &code)
+    {
+        for (u32 p = 0; p < 1024; ++p) {
+            if ((p & 1) == 0) {
+                byte[p] = code.classA[(p >> 1) & 31];
+                bits[p] = 6;
+            } else if ((p & 2) == 0) {
+                byte[p] = code.classB[(p >> 2) & 63];
+                bits[p] = 8;
+            } else {
+                byte[p] = static_cast<u8>(p >> 2);
+                bits[p] = 10;
+            }
+        }
     }
-    auto second = reader.read(1);
-    if (!second.ok())
-        return second.status();
-    if (second.value() == 0) {
-        auto index = reader.read(6);
-        if (!index.ok())
-            return index.status();
-        return code.classB[index.value()];
+};
+
+/** A copy element's width: flag, 6-bit length, 16-bit offset. It is
+ *  the densest element (kMaxMatch bytes; a literal run spends at least
+ *  6 bits per byte), so it bounds what a stream can produce. */
+constexpr u64 kCopyElementBits = 23;
+
+/**
+ * The fused decode loop: writes the stream's elements to @p dst, which
+ * holds @p content + mem::kWildCopySlop bytes; @p op ends one past the
+ * last byte written. One bitWindow() serves an element (or five
+ * literals of a run), read without a bounds verdict: bits past the end
+ * read as zero, and the cursor check before each element and after
+ * the last rejects any element that crossed the end, which is exactly
+ * when a per-read decoder fails.
+ */
+Status
+decodeElements(ByteSpan stream, const LiteralTable &literals,
+               std::size_t content, u8 *dst, std::size_t &op)
+{
+    const u8 *const dst_end = dst + content + mem::kWildCopySlop;
+    const u64 end_bit = u64{stream.size()} * 8;
+    u64 bit = 0;
+    while (op < content) {
+        if (bit > end_bit)
+            return Status::corrupt("bit stream truncated");
+        const u64 bits = bitWindow(stream.data(), stream.size(), bit);
+        if ((bits & 1) == 0) {
+            const std::size_t count = ((bits >> 1) & 31) + 1;
+            bit += 6;
+            if (count > content - op)
+                return Status::corrupt("gipfeli output overruns");
+            for (std::size_t i = 0; i < count;) {
+                const u64 run = bitWindow(stream.data(), stream.size(), bit);
+                const std::size_t batch = std::min<std::size_t>(5, count - i);
+                unsigned used = 0;
+                for (std::size_t k = 0; k < batch; ++k, ++i) {
+                    const u32 index = (run >> used) & 1023;
+                    dst[op + i] = literals.byte[index];
+                    used += literals.bits[index];
+                }
+                bit += used;
+            }
+            op += count;
+            continue;
+        }
+        const u32 length = static_cast<u32>((bits >> 1) & 63) + kMinMatch;
+        const u32 offset = static_cast<u32>((bits >> 7) & 0xffff);
+        bit += kCopyElementBits;
+        if (offset == 0 || offset > op)
+            return Status::corrupt("gipfeli offset exceeds history");
+        if (length > content - op)
+            return Status::corrupt("gipfeli output overruns");
+        if (offset >= 8)
+            mem::wildCopy(dst + op, dst + op - offset, length, dst_end);
+        else
+            mem::incrementalCopy(dst + op, offset, length);
+        op += length;
     }
-    auto raw = reader.read(8);
-    if (!raw.ok())
-        return raw.status();
-    return static_cast<u8>(raw.value());
+    if (bit > end_bit)
+        return Status::corrupt("bit stream truncated");
+    return Status::okStatus();
 }
 
 } // namespace
@@ -198,49 +261,26 @@ decompressInto(ByteSpan data, Bytes &out)
     pos += 32;
     std::copy_n(data.begin() + pos, 64, code.classB.begin());
     pos += 64;
-    code.rebuildMaps();
 
     auto stream_bytes = getVarint(data, pos);
     if (!stream_bytes.ok())
         return stream_bytes.status();
     if (pos + stream_bytes.value() != data.size())
         return Status::corrupt("gipfeli stream length mismatch");
-    BitReader reader(data.subspan(pos, stream_bytes.value()));
+    const ByteSpan stream = data.subspan(pos, stream_bytes.value());
+    const u64 end_bit = u64{stream.size()} * 8;
+    const auto content = static_cast<std::size_t>(content_size.value());
+    // No stream can produce more than this, so a larger claim fails
+    // before the output is sized from it.
+    if (content > (end_bit / kCopyElementBits + 1) * kMaxMatch)
+        return Status::corrupt("gipfeli content size exceeds stream bound");
+    out.resize(content + mem::kWildCopySlop);
 
-    // Reserve conservatively: the claimed size is untrusted until the
-    // stream fully decodes, so cap the up-front allocation.
-    out.reserve(std::min<u64>(content_size.value(), 64 * kMiB));
-    while (out.size() < content_size.value()) {
-        auto flag = reader.read(1);
-        if (!flag.ok())
-            return flag.status();
-        if (flag.value() == 0) {
-            auto count = reader.read(5);
-            if (!count.ok())
-                return count.status();
-            for (u64 i = 0; i <= count.value(); ++i) {
-                auto literal = getLiteral(reader, code);
-                if (!literal.ok())
-                    return literal.status();
-                out.push_back(literal.value());
-            }
-        } else {
-            auto length = reader.read(6);
-            if (!length.ok())
-                return length.status();
-            auto offset = reader.read(16);
-            if (!offset.ok())
-                return offset.status();
-            if (offset.value() == 0 || offset.value() > out.size())
-                return Status::corrupt("gipfeli offset exceeds history");
-            std::size_t from = out.size() - offset.value();
-            for (u64 i = 0; i < length.value() + kMinMatch; ++i)
-                out.push_back(out[from + i]);
-        }
-        if (out.size() > content_size.value())
-            return Status::corrupt("gipfeli output overruns");
-    }
-    return Status::okStatus();
+    std::size_t op = 0;
+    Status status = decodeElements(stream, LiteralTable(code), content,
+                                   out.data(), op);
+    out.resize(op);
+    return status;
 }
 
 Result<Bytes>

@@ -1,5 +1,7 @@
 #include "huffman/decoder.h"
 
+#include <algorithm>
+
 #include "common/kernels.h"
 #include "common/mem.h"
 
@@ -63,41 +65,61 @@ Decoder::decode(BitReader &reader, std::size_t count, Bytes &out) const
     const std::size_t start = out.size();
     out.resize(start + count);
     u8 *dst = out.data() + start;
-    // The pair fast path runs on SIMD tiers only; the scalar tier
-    // keeps the one-symbol-per-peek reference loop, which is what the
-    // cross-tier byte-identity batteries compare against. Any window
-    // the pair table can't fuse — long codes, the stream tail, an
-    // invalid prefix — drops into the reference step for that symbol,
-    // so outputs AND error verdicts match the scalar path exactly.
-    const bool fuse_pairs =
-        kernels::activeTier() != kernels::Tier::scalar;
+    const ByteSpan stream = reader.data();
+    const u64 end_bit = u64{stream.size()} * 8;
+    // Locals, not members: stores through dst may alias anything, so
+    // member loads would repeat after every symbol.
+    const PairEntry *const pairs = pairs_.data();
+    const Entry *const table = table_.data();
+    const u32 mask = (1u << maxBits_) - 1;
+    // Every lookup consumes at most maxBits_ bits, so one bitWindow()
+    // (>= 57 valid bits) serves this many lookups.
+    const unsigned per_window = 56 / maxBits_;
+    u64 pos = reader.bitPos();
     std::size_t i = 0;
-    while (i < count) {
-        // Peek a full maxBits window (zero-padded near the end) and
-        // advance by the matched code's length.
-        u32 prefix = static_cast<u32>(reader.peek(maxBits_));
-        if (fuse_pairs && i + 1 < count) {
-            const PairEntry &pair = pairs_[prefix];
-            if (pair.count == 2 && reader.advance(pair.bits).ok()) {
+    bool valid = true;
+
+    // Lookups run on zero-padded bits near the stream end; the cursor
+    // check after the last window rejects any symbol that crossed it.
+    // Both failure modes (no code, or a code past the end) are the ones
+    // the per-symbol reference reports, so verdicts match it exactly.
+    //
+    // SIMD tiers emit two symbols per lookup where the pair table
+    // fused them; the scalar tier keeps one symbol per lookup, the
+    // reference the cross-tier batteries compare against.
+    if (kernels::activeTier() != kernels::Tier::scalar) {
+        while (valid && i + 2 * per_window <= count) {
+            const u64 window = bitWindow(stream.data(), stream.size(), pos);
+            unsigned used = 0;
+            for (unsigned k = 0; k < per_window; ++k) {
+                const PairEntry &pair = pairs[(window >> used) & mask];
+                valid &= pair.count != 0;
                 dst[i] = pair.sym0;
                 dst[i + 1] = pair.sym1;
-                i += 2;
-                continue;
+                i += pair.count;
+                used += pair.bits;
             }
+            pos += used;
         }
-        const Entry &entry = table_[prefix];
-        if (entry.length == 0) {
-            out.resize(start);
-            return Status::corrupt("invalid huffman code");
-        }
-        Status advanced = reader.advance(entry.length);
-        if (!advanced.ok()) {
-            out.resize(start);
-            return advanced;
-        }
-        dst[i] = static_cast<u8>(entry.symbol);
-        ++i;
     }
+    while (valid && i < count) {
+        const u64 window = bitWindow(stream.data(), stream.size(), pos);
+        const std::size_t n = std::min<std::size_t>(per_window, count - i);
+        unsigned used = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            const Entry &entry = table[(window >> used) & mask];
+            valid &= entry.length != 0;
+            dst[i++] = static_cast<u8>(entry.symbol);
+            used += entry.length;
+        }
+        pos += used;
+    }
+    if (!valid || pos > end_bit) {
+        out.resize(start);
+        return Status::corrupt(valid ? "bit stream truncated"
+                                     : "invalid huffman code");
+    }
+    reader.seek(pos);
     mem::kernelStats()
         .tierHuffSymbols[kernels::activeTierIndex()] += count;
     return Status::okStatus();

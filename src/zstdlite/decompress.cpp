@@ -22,7 +22,8 @@ namespace
 {
 
 /**
- * Replays one compressed block's literals + sequences into @p out.
+ * Reference path: replays one compressed block's materialized
+ * literals + sequences into @p out.
  *
  * The block's regenerated size is known from its header, so the buffer
  * is pre-sized once (with the wild-copy slop margin, trimmed before
@@ -92,6 +93,11 @@ executeBlock(const DecodedLiterals &literals,
  * it — and @p content_size bounds cumulative output. Sets @p last
  * from the block header. Shared by the whole-buffer path and the
  * incremental StreamDecoder so the two agree byte for byte.
+ *
+ * Without @p trace_out a compressed block takes the fused path
+ * (executeSequencesSection). With one it takes the reference path,
+ * which materializes the sequence list the ZStd PU model reads and
+ * is the oracle the fused path is tested against.
  */
 Status
 decodeBlock(ByteSpan data, std::size_t &pos, u64 window_size,
@@ -152,6 +158,20 @@ decodeBlock(ByteSpan data, std::size_t &pos, u64 window_size,
                                               regen_size);
         if (!literals.ok())
             return literals.status();
+        if (!trace_out) {
+            // Fused path. The block is sized only now that its regen
+            // size has passed the format and content-size bounds.
+            const std::size_t base = out.size();
+            out.resize(base + regen_size + mem::kWildCopySlop);
+            std::size_t op = base;
+            Status status = executeSequencesSection(
+                body, body_pos, literals.value().bytes, window_size,
+                base + regen_size, out, op);
+            if (status.ok() && body_pos != body.size())
+                status = Status::corrupt("trailing bytes in block body");
+            out.resize(status.ok() ? base + regen_size : op);
+            return status;
+        }
         auto sequences = decodeSequencesSection(
             body, body_pos, regen_size / kMinMatchLength + 1);
         if (!sequences.ok())

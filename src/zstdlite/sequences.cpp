@@ -1,5 +1,10 @@
 #include "zstdlite/sequences.h"
 
+#include <cstring>
+
+#include "common/bitio.h"
+#include "common/histogram.h"
+#include "common/mem.h"
 #include "common/varint.h"
 #include "fse/decoder.h"
 #include "fse/encoder.h"
@@ -181,62 +186,167 @@ encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
     return Status::okStatus();
 }
 
+namespace
+{
+
+/** The three code streams, in the order their tables are transmitted. */
+enum CodeStream : unsigned
+{
+    kLL = 0,
+    kOF = 1,
+    kML = 2,
+};
+
+/** The parsed front of a sequences section, shared by the reference
+ *  decoder and the fused executor so both reject the same headers. */
+struct SectionHeader
+{
+    std::size_t count = 0;
+    std::array<bool, 3> dynamic{};
+    /** Transmitted distributions; unused where the table is predefined. */
+    std::array<fse::NormalizedCounts, 3> counts;
+    ByteSpan stream; ///< The backward FSE bitstream.
+
+    const fse::NormalizedCounts &
+    norm(CodeStream which) const
+    {
+        if (dynamic[which])
+            return counts[which];
+        return which == kLL   ? predefinedLLCounts()
+               : which == kOF ? predefinedOFCounts()
+                              : predefinedMLCounts();
+    }
+};
+
+/**
+ * Parses a section's count, table modes, transmitted distributions and
+ * stream span, advancing @p pos past the stream. A zero count ends the
+ * section after its varint.
+ */
+Status
+readSectionHeader(ByteSpan data, std::size_t &pos,
+                  std::size_t max_sequences, SectionHeader &header)
+{
+    auto count = getVarint(data, pos);
+    if (!count.ok())
+        return count.status();
+    // Checked before anything is sized from it: a tampered count once
+    // forced a 2^30-entry reservation from a handful of bytes.
+    if (count.value() > max_sequences)
+        return Status::corrupt("sequence count exceeds block bound");
+    header.count = count.value();
+    if (header.count == 0)
+        return Status::okStatus();
+
+    if (pos >= data.size())
+        return Status::corrupt("sequence modes truncated");
+    const u8 modes = data[pos++];
+    for (unsigned which : {kLL, kOF, kML}) {
+        header.dynamic[which] = ((modes >> (2 * which)) & 3) ==
+                                static_cast<u8>(TableMode::dynamic);
+        if (!header.dynamic[which])
+            continue;
+        auto norm = fse::deserializeCounts(data, pos);
+        if (!norm.ok())
+            return norm.status();
+        header.counts[which] = std::move(norm).value();
+    }
+    // The alphabet bound is what makes every table symbol a valid code,
+    // so neither decoder range-checks codes per sequence.
+    if (header.norm(kLL).alphabetSize() > kNumLLCodes ||
+        header.norm(kOF).alphabetSize() > kNumOFCodes ||
+        header.norm(kML).alphabetSize() > kNumMLCodes) {
+        return Status::corrupt("sequence table alphabet too large");
+    }
+
+    auto stream_bytes = getVarint(data, pos);
+    if (!stream_bytes.ok())
+        return stream_bytes.status();
+    if (pos + stream_bytes.value() > data.size())
+        return Status::corrupt("sequence stream truncated");
+    header.stream = data.subspan(pos, stream_bytes.value());
+    pos += stream_bytes.value();
+    return Status::okStatus();
+}
+
+/**
+ * One FSE state with its code's value binning folded in (the idea of
+ * zstd's ZSTD_seqSymbol): the state transition and the value's
+ * baseline and extra bits in a single 8-byte load.
+ */
+struct SeqSymbol
+{
+    u32 baseline = 0;
+    u8 extraBits = 0;
+    u8 nbBits = 0;
+    u16 nextStateBase = 0;
+};
+
+struct SeqTable
+{
+    std::vector<SeqSymbol> entries;
+    unsigned tableLog = 0;
+};
+
+/** @pre readSectionHeader() accepted @p norm for @p which's alphabet,
+ *  so every symbol bins. */
+SeqTable
+buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which)
+{
+    // Counts that passed deserializeCounts sum to the table size, so
+    // the build cannot fail.
+    const fse::DecodeTable fse_table = fse::buildDecodeTable(norm).value();
+    SeqTable table;
+    table.tableLog = fse_table.tableLog;
+    table.entries.resize(fse_table.size());
+    for (std::size_t state = 0; state < fse_table.size(); ++state) {
+        const fse::DecodeEntry &entry = fse_table.entries[state];
+        const CodeBin bin = which == kLL
+                                ? literalLengthFromCode(entry.symbol).value()
+                            : which == kOF
+                                ? offsetFromCode(entry.symbol).value()
+                                : matchLengthFromCode(entry.symbol).value();
+        table.entries[state] = {bin.baseline, bin.extraBits, entry.nbBits,
+                                entry.nextStateBase};
+    }
+    return table;
+}
+
+/** The section's table for @p which: the process-wide predefined one,
+ *  or one built into @p scratch from the transmitted counts. */
+const SeqTable &
+seqTableFor(const SectionHeader &header, CodeStream which,
+            SeqTable &scratch)
+{
+    static const std::array<SeqTable, 3> predefined = {
+        buildSeqTable(predefinedLLCounts(), kLL),
+        buildSeqTable(predefinedOFCounts(), kOF),
+        buildSeqTable(predefinedMLCounts(), kML),
+    };
+    if (!header.dynamic[which])
+        return predefined[which];
+    scratch = buildSeqTable(header.counts[which], which);
+    return scratch;
+}
+
+} // namespace
+
 Result<DecodedSequences>
 decodeSequencesSection(ByteSpan data, std::size_t &pos,
                        std::size_t max_sequences)
 {
     DecodedSequences result;
-    auto count = getVarint(data, pos);
-    if (!count.ok())
-        return count.status();
-    // Checked before the reserve below: a tampered count once forced
-    // a 2^30-entry reservation from a handful of bytes.
-    if (count.value() > max_sequences)
-        return Status::corrupt("sequence count exceeds block bound");
-    std::size_t num_sequences = count.value();
-    if (num_sequences == 0)
+    SectionHeader header;
+    CDPU_RETURN_IF_ERROR(
+        readSectionHeader(data, pos, max_sequences, header));
+    if (header.count == 0)
         return result;
+    result.dynamicTables =
+        header.dynamic[kLL] || header.dynamic[kOF] || header.dynamic[kML];
 
-    if (pos >= data.size())
-        return Status::corrupt("sequence modes truncated");
-    u8 modes = data[pos++];
-    bool ll_dynamic = (modes & 3) == static_cast<u8>(TableMode::dynamic);
-    bool of_dynamic =
-        ((modes >> 2) & 3) == static_cast<u8>(TableMode::dynamic);
-    bool ml_dynamic =
-        ((modes >> 4) & 3) == static_cast<u8>(TableMode::dynamic);
-    result.dynamicTables = ll_dynamic || of_dynamic || ml_dynamic;
-
-    fse::NormalizedCounts ll_norm = predefinedLLCounts();
-    fse::NormalizedCounts of_norm = predefinedOFCounts();
-    fse::NormalizedCounts ml_norm = predefinedMLCounts();
-    if (ll_dynamic) {
-        auto norm = fse::deserializeCounts(data, pos);
-        if (!norm.ok())
-            return norm.status();
-        ll_norm = std::move(norm).value();
-    }
-    if (of_dynamic) {
-        auto norm = fse::deserializeCounts(data, pos);
-        if (!norm.ok())
-            return norm.status();
-        of_norm = std::move(norm).value();
-    }
-    if (ml_dynamic) {
-        auto norm = fse::deserializeCounts(data, pos);
-        if (!norm.ok())
-            return norm.status();
-        ml_norm = std::move(norm).value();
-    }
-    if (ll_norm.alphabetSize() > kNumLLCodes ||
-        of_norm.alphabetSize() > kNumOFCodes ||
-        ml_norm.alphabetSize() > kNumMLCodes) {
-        return Status::corrupt("sequence table alphabet too large");
-    }
-
-    auto ll_table = fse::buildDecodeTable(ll_norm);
-    auto of_table = fse::buildDecodeTable(of_norm);
-    auto ml_table = fse::buildDecodeTable(ml_norm);
+    auto ll_table = fse::buildDecodeTable(header.norm(kLL));
+    auto of_table = fse::buildDecodeTable(header.norm(kOF));
+    auto ml_table = fse::buildDecodeTable(header.norm(kML));
     if (!ll_table.ok())
         return ll_table.status();
     if (!of_table.ok())
@@ -244,16 +354,8 @@ decodeSequencesSection(ByteSpan data, std::size_t &pos,
     if (!ml_table.ok())
         return ml_table.status();
 
-    auto stream_bytes = getVarint(data, pos);
-    if (!stream_bytes.ok())
-        return stream_bytes.status();
-    if (pos + stream_bytes.value() > data.size())
-        return Status::corrupt("sequence stream truncated");
-    ByteSpan stream = data.subspan(pos, stream_bytes.value());
-    pos += stream_bytes.value();
-    result.streamBytes = stream.size();
-
-    auto reader = BackwardBitReader::open(stream);
+    result.streamBytes = header.stream.size();
+    auto reader = BackwardBitReader::open(header.stream);
     if (!reader.ok())
         return reader.status();
 
@@ -264,8 +366,8 @@ decodeSequencesSection(ByteSpan data, std::size_t &pos,
     CDPU_RETURN_IF_ERROR(ml_dec.initState(reader.value()));
     CDPU_RETURN_IF_ERROR(ll_dec.initState(reader.value()));
 
-    result.sequences.reserve(num_sequences);
-    for (std::size_t i = 0; i < num_sequences; ++i) {
+    result.sequences.reserve(header.count);
+    for (std::size_t i = 0; i < header.count; ++i) {
         auto ll_bin = literalLengthFromCode(ll_dec.peekSymbol());
         auto of_bin = offsetFromCode(of_dec.peekSymbol());
         auto ml_bin = matchLengthFromCode(ml_dec.peekSymbol());
@@ -308,6 +410,127 @@ decodeSequencesSection(ByteSpan data, std::size_t &pos,
         return Status::corrupt("sequence decoders not at clean end");
     }
     return result;
+}
+
+Status
+executeSequencesSection(ByteSpan data, std::size_t &pos,
+                        ByteSpan literals, u64 window_size,
+                        std::size_t block_end, Bytes &out,
+                        std::size_t &op)
+{
+    SectionHeader header;
+    CDPU_RETURN_IF_ERROR(readSectionHeader(
+        data, pos, (block_end - op) / kMinMatchLength + 1, header));
+
+    u8 *const dst = out.data();
+    const u8 *const dst_end = dst + out.size();
+    const u8 *lit = literals.data();
+    std::size_t lit_left = literals.size();
+    if (header.count != 0) {
+        SeqTable ll_scratch;
+        SeqTable of_scratch;
+        SeqTable ml_scratch;
+        const SeqTable &ll = seqTableFor(header, kLL, ll_scratch);
+        const SeqTable &of = seqTableFor(header, kOF, of_scratch);
+        const SeqTable &ml = seqTableFor(header, kML, ml_scratch);
+        // Locals, not members: stores through dst may alias anything.
+        const SeqSymbol *const ll_entries = ll.entries.data();
+        const SeqSymbol *const of_entries = of.entries.data();
+        const SeqSymbol *const ml_entries = ml.entries.data();
+
+        // The BackwardBitReader contract: the stream ends in a byte
+        // whose top set bit terminates it; bits below are the payload,
+        // read from the end. `bits` counts those still unread.
+        const ByteSpan stream = header.stream;
+        if (stream.empty())
+            return Status::corrupt("empty backward bit stream");
+        if (stream.back() == 0)
+            return Status::corrupt("missing bit stream terminator");
+        u64 bits = u64{stream.size() - 1} * 8 + floorLog2(stream.back());
+        const auto bits_at = [&](u64 at, unsigned n) {
+            return static_cast<u32>(
+                bitWindow(stream.data(), stream.size(), at) &
+                ((u64{1} << n) - 1));
+        };
+
+        if (u64{of.tableLog} + ml.tableLog + ll.tableLog > bits)
+            return Status::corrupt("backward bit stream underflow");
+        bits -= of.tableLog;
+        u32 of_state = bits_at(bits, of.tableLog);
+        bits -= ml.tableLog;
+        u32 ml_state = bits_at(bits, ml.tableLog);
+        bits -= ll.tableLog;
+        u32 ll_state = bits_at(bits, ll.tableLog);
+
+        for (std::size_t i = 0; i < header.count; ++i) {
+            const SeqSymbol &l = ll_entries[ll_state];
+            const SeqSymbol &m = ml_entries[ml_state];
+            const SeqSymbol &o = of_entries[of_state];
+            // Every bit this sequence reads is known from its three
+            // states, so one budget check covers all six reads, and one
+            // load serves them whenever they fit a window.
+            const unsigned need = l.nbBits + m.nbBits + o.nbBits +
+                                  l.extraBits + m.extraBits + o.extraBits;
+            if (need > bits)
+                return Status::corrupt("backward bit stream underflow");
+            bits -= need;
+            const u64 window =
+                need <= 56 ? bitWindow(stream.data(), stream.size(), bits)
+                           : 0;
+            unsigned rem = need;
+            // Reads come off the top, in the encoder's reverse order.
+            const auto take = [&](unsigned n) {
+                rem -= n;
+                if (need > 56)
+                    return bits_at(bits + rem, n);
+                return static_cast<u32>((window >> rem) &
+                                        ((u64{1} << n) - 1));
+            };
+            ll_state = l.nextStateBase + take(l.nbBits);
+            ml_state = m.nextStateBase + take(m.nbBits);
+            of_state = o.nextStateBase + take(o.nbBits);
+            const u32 offset = o.baseline + take(o.extraBits);
+            const u32 match_len = m.baseline + take(m.extraBits);
+            const u32 lit_len = l.baseline + take(l.extraBits);
+
+            if (lit_len > lit_left)
+                return Status::corrupt("sequence literal budget exceeded");
+            if (lit_len + match_len > block_end - op)
+                return Status::corrupt("block regenerated size mismatch");
+            // Short runs copy a fixed 16 bytes when the literal buffer
+            // has them: the surplus lands inside this block's range or
+            // its slop, ahead of the cursor, and is overwritten.
+            if (lit_len <= 16 && lit_left >= 16)
+                std::memcpy(dst + op, lit, 16);
+            else if (lit_len != 0)
+                std::memcpy(dst + op, lit, lit_len);
+            op += lit_len;
+            lit += lit_len;
+            lit_left -= lit_len;
+
+            if (offset > op)
+                return Status::corrupt("match offset exceeds history");
+            if (offset > window_size)
+                return Status::corrupt("match offset exceeds window");
+            if (offset >= 8)
+                mem::wildCopy(dst + op, dst + op - offset, match_len,
+                              dst_end);
+            else
+                mem::incrementalCopy(dst + op, offset, match_len);
+            op += match_len;
+        }
+        if (bits != 0)
+            return Status::corrupt("sequence stream has trailing bits");
+        if ((ll_state | ml_state | of_state) != 0)
+            return Status::corrupt("sequence decoders not at clean end");
+    }
+    // Remaining literals are the block's tail.
+    if (op + lit_left != block_end)
+        return Status::corrupt("block regenerated size mismatch");
+    if (lit_left != 0)
+        std::memcpy(dst + op, lit, lit_left);
+    op += lit_left;
+    return Status::okStatus();
 }
 
 } // namespace cdpu::zstdlite

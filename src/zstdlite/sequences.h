@@ -55,6 +55,25 @@ struct DecodedSequences
 Result<DecodedSequences> decodeSequencesSection(
     ByteSpan data, std::size_t &pos, std::size_t max_sequences);
 
+/**
+ * The fused decoder behind every untraced decode: decodes the
+ * sequences section at @p pos (advanced past it) and executes each
+ * sequence as soon as it is decoded, its literal run from @p literals
+ * and then its match, with no sequence list in between. Remaining
+ * literals form the block's tail.
+ *
+ * The block occupies [@p op, @p block_end) of @p out, which must
+ * already hold block_end + mem::kWildCopySlop bytes; everything
+ * before @p op is history. Checks everything decodeSequencesSection()
+ * and the reference block executor check, so the two paths accept
+ * and reject the same blocks. On return @p op is one past the last
+ * byte written.
+ */
+Status executeSequencesSection(ByteSpan data, std::size_t &pos,
+                               ByteSpan literals, u64 window_size,
+                               std::size_t block_end, Bytes &out,
+                               std::size_t &op);
+
 } // namespace cdpu::zstdlite
 
 #endif // CDPU_ZSTDLITE_SEQUENCES_H_

@@ -16,9 +16,11 @@
 
 #include "common/crc32c.h"
 #include "common/varint.h"
+#include "codec/registry.h"
 #include "container/container.h"
 #include "corpus/generators.h"
 #include "harden/injector.h"
+#include "zstdlite/format.h"
 
 namespace cdpu
 {
@@ -372,6 +374,60 @@ TEST(ContainerIndexTest, EmptyInputRoundTrips)
     EXPECT_TRUE(out.empty());
     EXPECT_EQ(report.blocks, 0u);
     expectParallelMatchesSequential(frame, {}, &out);
+}
+
+TEST(ContainerIndexTest, CodecErrorsNameTheFailingBlock)
+{
+    // Four zstdlite blocks; block 2's inner frame claims a block regen
+    // size of 2^21 - 1, past zstdlite's format bound. zstdlite's own
+    // message starts with "block ", which must not suppress the
+    // container's block index.
+    Rng rng(17);
+    const codec::CodecCaps &caps =
+        codec::registry(codec::CodecId::zstdlite).caps;
+    const codec::CodecParams params =
+        caps.clamp(caps.defaultLevel, caps.defaultWindowLog);
+    std::vector<Bytes> blocks;
+    std::vector<CraftedEntry> entries;
+    u64 offset = 0;
+    for (int i = 0; i < 4; ++i) {
+        const Bytes chunk =
+            corpus::generate(corpus::DataClass::textLike, 1024, rng);
+        Bytes inner;
+        ASSERT_TRUE(codec::compressInto(codec::CodecId::zstdlite, chunk,
+                                        params, inner)
+                        .ok());
+        if (i == 2) {
+            // Frame header: magic, windowLog, contentSize varint; then
+            // the first block's header byte and its regen varint.
+            std::size_t pos = zstdlite::kMagic.size() + 1;
+            ASSERT_TRUE(getVarint(inner, pos).ok());
+            const std::size_t regen_at = pos + 1;
+            std::size_t regen_end = regen_at;
+            ASSERT_TRUE(getVarint(inner, regen_end).ok());
+            Bytes claim;
+            putVarint(claim, (u64{1} << 21) - 1);
+            inner.erase(inner.begin() + regen_at,
+                        inner.begin() + regen_end);
+            inner.insert(inner.begin() + regen_at, claim.begin(),
+                         claim.end());
+        }
+        entries.push_back({offset, inner.size(), chunk.size()});
+        offset += inner.size();
+        blocks.push_back(std::move(inner));
+    }
+    Bytes frame =
+        craftFrame(entries, 4 * 1024, 0, container::kVersion,
+                   static_cast<u8>(codec::BaseCodecId::zstdlite));
+    for (const Bytes &block : blocks)
+        frame.insert(frame.end(), block.begin(), block.end());
+
+    Bytes out;
+    Status sequential = container::decodeSequential(frame, out);
+    EXPECT_EQ(sequential.toString(),
+              "CORRUPT_DATA: block 2: block size exceeds format bound");
+    Status parallel = container::decodeParallel(frame, 2, out);
+    EXPECT_EQ(parallel.toString(), sequential.toString());
 }
 
 TEST(ContainerIndexTest, WriteRejectsAbsurdBlockCounts)

@@ -21,9 +21,12 @@
 #include "common/mem.h"
 #include "common/varint.h"
 #include "corpus/generators.h"
+#include "flatelite/compress.h"
+#include "flatelite/decompress.h"
 #include "fse/decoder.h"
 #include "fse/encoder.h"
 #include "fse/normalize.h"
+#include "gipfeli/gipfeli.h"
 #include "huffman/code_builder.h"
 #include "huffman/decoder.h"
 #include "huffman/encoder.h"
@@ -417,10 +420,10 @@ TEST(EntropyFastPathFuzz, FseRoundTripsOnVariedSkew)
 // the tier-invariant work counters must be identical whichever tier is
 // active. Each test below replays the same inputs at the scalar
 // reference tier and at the parameterized tier and compares
-// everything. Forward bit-reader refill counters are deliberately NOT
-// compared: the Huffman pair fast path decodes two symbols per peek,
-// so SIMD tiers legitimately do fewer refills — that is the speedup,
-// not a divergence.
+// everything. The bit-reader refill counters are compared too: the
+// Huffman pair path is the only loop whose shape depends on the tier,
+// and like every fused decode loop it reads through bitWindow(), which
+// counts no refills.
 
 /** Forces the parameterized tier for the test body; restores after. */
 class TierFuzz : public ::testing::TestWithParam<kernels::Tier>
@@ -450,6 +453,8 @@ expectTierInvariantCountersEqual(const mem::KernelStats &tier,
     EXPECT_EQ(tier.snappyFastCopies, scalar.snappyFastCopies);
     EXPECT_EQ(tier.snappyOverlapCopies, scalar.snappyOverlapCopies);
     EXPECT_EQ(tier.matchWordCompares, scalar.matchWordCompares);
+    EXPECT_EQ(tier.bitioFastRefills, scalar.bitioFastRefills);
+    EXPECT_EQ(tier.bitioSlowRefills, scalar.bitioSlowRefills);
     EXPECT_EQ(tier.bitioBackwardFastRefills,
               scalar.bitioBackwardFastRefills);
     EXPECT_EQ(tier.bitioBackwardSlowRefills,
@@ -546,6 +551,71 @@ TEST_P(TierFuzz, ZstdLiteByteIdenticalToScalar)
             EXPECT_EQ(tier_out, ref_out);
             EXPECT_EQ(ref_out, data);
             expectTierInvariantCountersEqual(tier_stats, scalar_stats);
+        }
+    }
+}
+
+/**
+ * Decodes @p frame, and a ladder of its truncations, at the scalar
+ * tier and at @p tier: the bytes, the truncation verdicts and the
+ * tier-invariant work counters must all match.
+ */
+template <typename Decode>
+void
+expectDecodeTierInvariant(kernels::Tier tier, ByteSpan frame,
+                          const Bytes &payload, Decode decode)
+{
+    std::vector<Bytes> outs;
+    std::vector<std::vector<FailureClass>> verdicts;
+    mem::KernelStats scalar_stats;
+    mem::KernelStats tier_stats;
+    runAtBothTiers(
+        tier,
+        [&] {
+            auto out = decode(frame);
+            ASSERT_TRUE(out.ok()) << out.status().toString();
+            outs.push_back(std::move(out).value());
+            std::vector<FailureClass> cuts;
+            const std::size_t step =
+                std::max<std::size_t>(frame.size() / 16, 1);
+            for (std::size_t cut = 0; cut < frame.size(); cut += step)
+                cuts.push_back(failureClass(
+                    decode(frame.subspan(0, cut)).status()));
+            verdicts.push_back(std::move(cuts));
+        },
+        scalar_stats, tier_stats);
+    ASSERT_EQ(outs.size(), 2u);
+    EXPECT_EQ(outs[0], payload);
+    EXPECT_EQ(outs[1], outs[0]);
+    EXPECT_EQ(verdicts[1], verdicts[0]);
+    expectTierInvariantCountersEqual(tier_stats, scalar_stats);
+}
+
+TEST_P(TierFuzz, FlateLiteByteIdenticalToScalar)
+{
+    // Matches replay through mem::wildCopy, whose chunk width is the
+    // tier's.
+    Rng rng(233);
+    for (auto cls : corpus::allDataClasses()) {
+        for (std::size_t size : {1u, 100u, 4096u, 80000u}) {
+            Bytes data = corpus::generate(cls, size, rng);
+            auto comp = flatelite::compress(data);
+            ASSERT_TRUE(comp.ok());
+            expectDecodeTierInvariant(
+                GetParam(), comp.value(), data,
+                [](ByteSpan frame) { return flatelite::decompress(frame); });
+        }
+    }
+}
+
+TEST_P(TierFuzz, GipfeliByteIdenticalToScalar)
+{
+    Rng rng(239);
+    for (auto cls : corpus::allDataClasses()) {
+        for (std::size_t size : {1u, 100u, 4096u, 80000u}) {
+            Bytes data = corpus::generate(cls, size, rng);
+            expectDecodeTierInvariant(GetParam(), gipfeli::compress(data),
+                                      data, gipfeli::decompress);
         }
     }
 }
