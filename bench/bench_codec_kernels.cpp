@@ -30,6 +30,7 @@
 #include "fse/encoder.h"
 #include "huffman/decoder.h"
 #include "huffman/encoder.h"
+#include "lz77/fast_parse.h"
 #include "lz77/match_finder.h"
 #include "snappy/compress.h"
 #include "snappy/decompress.h"
@@ -103,6 +104,24 @@ BM_SnappyCompress(benchmark::State &state)
         corpus::allDataClasses()[state.range(0)]));
 }
 BENCHMARK(BM_SnappyCompress)->DenseRange(0, 8);
+
+/** One 1 KiB call per iteration: the small-call regime (paper §3.5)
+ *  where per-call setup, not the parse loop, sets the cost. */
+void
+BM_SnappyCompressSmallCall(benchmark::State &state)
+{
+    Bytes data = makeData(static_cast<int>(state.range(0)), kKiB);
+    Bytes out;
+    for (auto _ : state) {
+        snappy::compressInto(data, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    setThroughput(state, data.size());
+    state.SetLabel(corpus::dataClassName(
+        corpus::allDataClasses()[state.range(0)]));
+}
+BENCHMARK(BM_SnappyCompressSmallCall)->Arg(0);
 
 void
 BM_SnappyDecompress(benchmark::State &state)
@@ -194,6 +213,23 @@ BM_Lz77Parse(benchmark::State &state)
     setThroughput(state, data.size());
 }
 BENCHMARK(BM_Lz77Parse)->Arg(9)->Arg(14)->Arg(17);
+
+/** The specialized parse the software codecs run, at BM_Lz77Parse's
+ *  geometries: the same Parse, without MatchFinder's per-probe work. */
+void
+BM_Lz77FastParse(benchmark::State &state)
+{
+    Bytes data = makeData(0, 256 * kKiB);
+    lz77::MatchFinderConfig config;
+    config.hashTable.log2Entries =
+        static_cast<unsigned>(state.range(0));
+    for (auto _ : state) {
+        lz77::Parse parse = lz77::fastParse(data, config);
+        benchmark::DoNotOptimize(parse.sequences.data());
+    }
+    setThroughput(state, data.size());
+}
+BENCHMARK(BM_Lz77FastParse)->Arg(9)->Arg(14)->Arg(17);
 
 void
 BM_HuffmanRoundTrip(benchmark::State &state)

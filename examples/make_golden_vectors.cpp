@@ -5,11 +5,11 @@
  * Usage: make_golden_vectors <output-dir>
  *
  * Emits, for each corpus payload, the raw bytes plus one compressed
- * frame per codec. The test suite asserts decode(frame) == raw, which
- * pins every decoder's ability to consume historically produced
- * frames — encoder changes are allowed (frames are not re-verified
- * against the current encoder byte-for-byte), format breaks are not.
- * Rerun this tool and re-commit only on an intentional format change.
+ * frame per codec. golden_vectors_test asserts decode(frame) == raw,
+ * which pins every decoder's ability to consume historically produced
+ * frames, and that re-encoding raw with these parameters reproduces
+ * each frame byte for byte, which pins the encoders. Rerun this tool
+ * and re-commit only when a change means to alter codec bytes.
  */
 
 #include <cstdio>

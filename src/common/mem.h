@@ -268,28 +268,35 @@ incrementalCopy(u8 *dst, std::size_t offset, std::size_t n)
  * @p limit. Reads only [a, a + limit) and [b, b + limit). Compares 8
  * bytes per probe and resolves the first mismatch with a trailing-zero
  * count on little-endian hosts; byte-steps the tail (and everything,
- * on big-endian hosts).
+ * on big-endian hosts). Adds the 8-byte probes made to @p words.
  */
 inline std::size_t
-countMatchingBytes(const u8 *a, const u8 *b, std::size_t limit)
+countMatchingBytes(const u8 *a, const u8 *b, std::size_t limit, u64 &words)
 {
     std::size_t n = 0;
     if constexpr (std::endian::native == std::endian::little) {
-        u64 words = 0;
         while (n + 8 <= limit) {
             ++words;
             u64 diff = loadU64(a + n) ^ loadU64(b + n);
-            if (diff != 0) {
-                kernelStats().matchWordCompares += words;
+            if (diff != 0)
                 return n + (static_cast<unsigned>(std::countr_zero(diff))
                             >> 3);
-            }
             n += 8;
         }
-        kernelStats().matchWordCompares += words;
     }
     while (n < limit && a[n] == b[n])
         ++n;
+    return n;
+}
+
+/** countMatchingBytes, with the probes added to the calling thread's
+ *  KernelStats::matchWordCompares. */
+inline std::size_t
+countMatchingBytes(const u8 *a, const u8 *b, std::size_t limit)
+{
+    u64 words = 0;
+    const std::size_t n = countMatchingBytes(a, b, limit, words);
+    kernelStats().matchWordCompares += words;
     return n;
 }
 

@@ -5,6 +5,7 @@
 #include "common/bitio.h"
 #include "common/varint.h"
 #include "huffman/code_builder.h"
+#include "lz77/fast_parse.h"
 
 namespace cdpu::flatelite
 {
@@ -182,11 +183,12 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
         flateLevelParameters(config.level, config.windowLog);
     if (config.overrideMatchFinder)
         mf_config.hashTable = config.matchFinderOverride;
-    lz77::MatchFinder finder(mf_config);
-    lz77::MatchFinderStats stats;
-    lz77::Parse parse = finder.parse(input, &stats);
-    if (stats_out)
-        *stats_out = stats;
+    // A trace or stats request gets MatchFinder, the reference the
+    // CDPU model reads; the specialized parse gives the same bytes.
+    const lz77::Parse parse =
+        trace || stats_out
+            ? lz77::MatchFinder(mf_config).parse(input, stats_out)
+            : lz77::fastParse(input, mf_config);
 
     PendingBlock block;
     std::size_t cursor = 0;

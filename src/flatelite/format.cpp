@@ -1,5 +1,7 @@
 #include "flatelite/format.h"
 
+#include <algorithm>
+
 #include "common/varint.h"
 
 namespace cdpu::flatelite
@@ -33,35 +35,61 @@ constexpr std::array<Spec, 30> kDistanceSpecs = {{
     {6145, 11}, {8193, 12}, {12289, 12}, {16385, 13}, {24577, 13},
 }};
 
+/**
+ * zlib's _length_code: entry length - 3 (lengths 3..258) holds the
+ * index of that length's code in kLengthSpecs. Length 258 takes code
+ * 285 even though code 284's extra bits could reach it.
+ */
+constexpr std::array<u8, 256> kLengthCode = [] {
+    std::array<u8, 256> table{};
+    for (std::size_t i = 0; i + 1 < kLengthSpecs.size(); ++i) {
+        for (u32 len = kLengthSpecs[i].baseline;
+             len < kLengthSpecs[i].baseline +
+                       (1u << kLengthSpecs[i].extraBits) &&
+             len < kMaxMatchLength;
+             ++len)
+            table[len - 3] = static_cast<u8>(i);
+    }
+    table[kMaxMatchLength - 3] = kLengthSpecs.size() - 1; // code 285
+    return table;
+}();
+
+/**
+ * zlib's _dist_code: with d = distance - 1, entry d (d < 256) or
+ * 256 + (d >> 7) (d < 32768) holds the distance code. Codes from 16 up
+ * span multiples of 128, so the coarse half loses nothing.
+ */
+constexpr std::array<u8, 512> kDistanceCode = [] {
+    std::array<u8, 512> table{};
+    for (std::size_t code = 0; code < kDistanceSpecs.size(); ++code) {
+        const u32 first = kDistanceSpecs[code].baseline - 1;
+        const u32 end = first + (1u << kDistanceSpecs[code].extraBits);
+        for (u32 d = first; d < end; ++d)
+            table[d < 256 ? d : 256 + (d >> 7)] = static_cast<u8>(code);
+    }
+    return table;
+}();
+
 } // namespace
 
 FlateBin
 lengthBin(u32 length)
 {
-    // Codes 257..285 cover 3..258; scan from the top for the widest
-    // baseline not exceeding the value. Code 285 encodes exactly 258.
-    if (length >= kMaxMatchLength)
-        return {285, 0, 258};
-    for (std::size_t i = kLengthSpecs.size() - 1; i-- > 0;) {
-        if (length >= kLengthSpecs[i].baseline) {
-            return {static_cast<u16>(257 + i),
-                    kLengthSpecs[i].extraBits,
-                    kLengthSpecs[i].baseline};
-        }
-    }
-    return {257, 0, 3};
+    // Lengths outside 3..258 saturate: below to code 257, above to 285.
+    const u8 index =
+        kLengthCode[std::clamp(length, 3u, kMaxMatchLength) - 3];
+    return {static_cast<u16>(257 + index), kLengthSpecs[index].extraBits,
+            kLengthSpecs[index].baseline};
 }
 
 FlateBin
 distanceBin(u32 distance)
 {
-    for (std::size_t i = kDistanceSpecs.size(); i-- > 0;) {
-        if (distance >= kDistanceSpecs[i].baseline) {
-            return {static_cast<u16>(i), kDistanceSpecs[i].extraBits,
-                    kDistanceSpecs[i].baseline};
-        }
-    }
-    return {0, 0, 1};
+    // Distances outside 1..32768 saturate to codes 0 and 29.
+    const u32 d = std::clamp(distance, 1u, 32768u) - 1;
+    const u8 code = kDistanceCode[d < 256 ? d : 256 + (d >> 7)];
+    return {code, kDistanceSpecs[code].extraBits,
+            kDistanceSpecs[code].baseline};
 }
 
 Result<FlateBin>

@@ -7,7 +7,7 @@
 #include "common/bitio.h"
 #include "common/mem.h"
 #include "common/varint.h"
-#include "lz77/match_finder.h"
+#include "lz77/fast_parse.h"
 
 namespace cdpu::gipfeli
 {
@@ -182,8 +182,7 @@ compressInto(ByteSpan input, Bytes &out)
     config.minMatchLength = kMinMatch;
     config.maxMatchLength = kMaxMatch;
     config.hashTable.log2Entries = 14;
-    lz77::MatchFinder finder(config);
-    lz77::Parse parse = finder.parse(input);
+    const lz77::Parse parse = lz77::fastParse(input, config);
 
     // Literal statistics over the literal bytes only.
     std::vector<u64> freqs(256, 0);

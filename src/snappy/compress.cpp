@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/varint.h"
+#include "lz77/fast_parse.h"
 
 namespace cdpu::snappy
 {
@@ -97,7 +98,6 @@ compressInto(ByteSpan input, Bytes &out,
     mf_config.windowSize = std::min(config.windowSize, kBlockSize);
     mf_config.minMatchLength = 4;
     mf_config.skipAcceleration = config.skipAcceleration;
-    lz77::MatchFinder finder(mf_config);
 
     lz77::MatchFinderStats total_stats;
 
@@ -106,8 +106,13 @@ compressInto(ByteSpan input, Bytes &out,
         std::size_t block_len = std::min(kBlockSize, input.size() - base);
         ByteSpan block = input.subspan(base, block_len);
 
+        // Stats come only from MatchFinder, the reference the CDPU
+        // model reads; without them the specialized parse gives the
+        // same bytes.
         lz77::MatchFinderStats stats;
-        lz77::Parse parse = finder.parse(block, &stats);
+        const lz77::Parse parse =
+            stats_out ? lz77::MatchFinder(mf_config).parse(block, &stats)
+                      : lz77::fastParse(block, mf_config);
         total_stats.positionsHashed += stats.positionsHashed;
         total_stats.candidateProbes += stats.candidateProbes;
         total_stats.matchesEmitted += stats.matchesEmitted;

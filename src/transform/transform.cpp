@@ -172,16 +172,23 @@ rleInvert(ByteSpan body, u64 raw_size, Bytes &out)
 void
 mtfApply(ByteSpan input, Bytes &out)
 {
-    std::array<u8, 256> table;
-    std::iota(table.begin(), table.end(), 0);
-    for (u8 byte : input) {
-        std::size_t index = 0;
-        while (table[index] != byte)
-            ++index;
-        out.push_back(static_cast<u8>(index));
-        std::copy_backward(table.begin(), table.begin() + index,
-                           table.begin() + index + 1);
-        table[0] = byte;
+    // rank[b] is byte b's place in the move-to-front list, so a byte's
+    // index is one load. Moving it to the front bumps every byte ranked
+    // below it: one branch-free 256-byte pass that vectorizes.
+    std::array<u8, 256> rank;
+    std::iota(rank.begin(), rank.end(), 0);
+    const std::size_t base = out.size();
+    out.resize(base + input.size());
+    u8 *dst = out.data() + base;
+    for (std::size_t i = 0; i < input.size(); ++i) {
+        const u8 byte = input[i];
+        const u8 index = rank[byte];
+        dst[i] = index;
+        if (index == 0)
+            continue;
+        for (u8 &r : rank)
+            r += r < index;
+        rank[byte] = 0;
     }
 }
 
@@ -204,9 +211,9 @@ mtfInvert(ByteSpan body, Bytes &out)
  * counting sorts, O(n log n) worst case — periodic inputs are the
  * common case for this stage, so a comparison sort's quadratic tie
  * behaviour is not acceptable) and emits the last column plus the row
- * index of the original string. Tied (identical) rotations may land in
- * any relative order; they contribute identical last-column bytes and
- * the primary row is the original string regardless.
+ * index of the original string. Tied (identical) rotations land in the
+ * order the stable sorts leave them, which fixes the primary index of
+ * a periodic block; any change to the sorts must keep that order.
  */
 void
 bwtForward(ByteSpan block, Bytes &last, u32 &primary)
@@ -220,47 +227,80 @@ bwtForward(ByteSpan block, Bytes &last, u32 &primary)
         last[0] = block[0];
         return;
     }
-    std::vector<u32> p(n), c(n), pn(n), cn(n);
-    std::vector<u32> cnt(256, 0);
+    const u32 n32 = static_cast<u32>(n);
+    // p: rotations in sorted order; c: class of each rotation (rank of
+    // its distinct h-prefix); ranked[i] == c[p[i]], kept in sorted
+    // order so rounds read it sequentially. Positions and classes are
+    // below the block size, so 16 bits hold them and halve the cache
+    // footprint of the random accesses.
+    static_assert(kBwtBlockBytes <= 65536);
+    using Index = u16;
+    std::vector<Index> p(n), c(n), ranked(n), pn(n), cn(n), tail(n);
+    std::vector<u32> cnt(std::max<std::size_t>(n, 256), 0);
     for (std::size_t i = 0; i < n; ++i)
         cnt[block[i]]++;
     for (std::size_t i = 1; i < 256; ++i)
         cnt[i] += cnt[i - 1];
     for (std::size_t i = n; i-- > 0;)
-        p[--cnt[block[i]]] = static_cast<u32>(i);
+        p[--cnt[block[i]]] = static_cast<Index>(i);
     c[p[0]] = 0;
     u32 classes = 1;
     for (std::size_t i = 1; i < n; ++i) {
         if (block[p[i]] != block[p[i - 1]])
             ++classes;
-        c[p[i]] = classes - 1;
+        c[p[i]] = static_cast<Index>(classes - 1);
+        ranked[i] = static_cast<Index>(classes - 1);
     }
-    for (std::size_t h = 1; h < n && classes < n; h <<= 1) {
+    for (u32 h = 1; h < n32 && classes < n32; h <<= 1) {
+        // Sort the rotations starting h earlier by their head class,
+        // stably, so the order of ranked[] breaks ties by tail class.
+        // Shift and count in one pass, parking each head class in cn
+        // (free until the reclassify) for the scatter to read in order.
+        std::fill_n(cnt.begin(), classes, 0);
         for (std::size_t i = 0; i < n; ++i) {
-            pn[i] = p[i] >= h ? p[i] - static_cast<u32>(h)
-                              : static_cast<u32>(p[i] + n - h);
+            u32 q = p[i] - h;
+            if (p[i] < h)
+                q += n32;
+            pn[i] = static_cast<Index>(q);
+            cn[i] = c[q];
+            ++cnt[cn[i]];
         }
-        cnt.assign(classes, 0);
-        for (std::size_t i = 0; i < n; ++i)
-            cnt[c[pn[i]]]++;
-        for (std::size_t i = 1; i < classes; ++i)
-            cnt[i] += cnt[i - 1];
-        for (std::size_t i = n; i-- > 0;)
-            p[--cnt[c[pn[i]]]] = pn[i];
-        cn[p[0]] = 0;
+        u32 start = 0;
+        for (u32 k = 0; k < classes; ++k) {
+            const u32 size = cnt[k];
+            cnt[k] = start;
+            start += size;
+        }
+        // Stable scatter (forward, into each class's first free slot);
+        // a rotation's tail class is the class of the rotation it was
+        // shifted from, ranked[i].
+        for (std::size_t i = 0; i < n; ++i) {
+            const u32 at = cnt[cn[i]]++;
+            p[at] = pn[i];
+            tail[at] = ranked[i];
+        }
+        // New classes: rotations differ when either h-long half does.
+        // Head classes come in runs (every class is non-empty), whose
+        // ends the scatter left in cnt.
+        u32 head = 0;
+        u32 head_end = cnt[0];
         u32 next_classes = 1;
-        for (std::size_t i = 1; i < n; ++i) {
-            std::size_t mid_a = (p[i] + h) % n;
-            std::size_t mid_b = (p[i - 1] + h) % n;
-            if (c[p[i]] != c[p[i - 1]] || c[mid_a] != c[mid_b])
+        cn[p[0]] = 0;
+        ranked[0] = 0;
+        for (u32 i = 1; i < n32; ++i) {
+            const bool new_head = i == head_end;
+            if (new_head)
+                head_end = cnt[++head];
+            if (new_head || tail[i] != tail[i - 1])
                 ++next_classes;
-            cn[p[i]] = next_classes - 1;
+            cn[p[i]] = static_cast<Index>(next_classes - 1);
+            ranked[i] = static_cast<Index>(next_classes - 1);
         }
         c.swap(cn);
         classes = next_classes;
     }
     for (std::size_t i = 0; i < n; ++i) {
-        last[i] = block[(p[i] + n - 1) % n];
+        last[i] = block[p[i] == 0 ? n - 1 : p[i] - 1];
         if (p[i] == 0)
             primary = static_cast<u32>(i);
     }

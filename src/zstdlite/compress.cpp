@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/varint.h"
+#include "lz77/fast_parse.h"
 #include "zstdlite/literals.h"
 #include "zstdlite/sequences.h"
 
@@ -149,11 +150,12 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
         mf_config.hashTable = config.matchFinderOverride;
         mf_config.skipAcceleration = config.skipAccelerationOverride;
     }
-    lz77::MatchFinder finder(mf_config);
-    lz77::MatchFinderStats stats;
-    lz77::Parse parse = finder.parse(input, &stats);
-    if (stats_out)
-        *stats_out = stats;
+    // A trace or stats request gets MatchFinder, the reference the
+    // CDPU models read; the specialized parse gives the same bytes.
+    const lz77::Parse parse =
+        trace || stats_out
+            ? lz77::MatchFinder(mf_config).parse(input, stats_out)
+            : lz77::fastParse(input, mf_config);
 
     // Partition the parse into blocks of ~kBlockTarget regenerated
     // bytes. Over-long literal runs are cut by flushing the pending

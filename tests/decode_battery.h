@@ -7,7 +7,8 @@
  *
  * A fused decoder must agree with its reference in bytes and in
  * FailureClass on clean frames and on the harden injector's
- * truncated and mutated frames, at every SIMD tier the host runs.
+ * truncated and mutated frames, at every SIMD tier the host runs
+ * (battery.h's TierSweep).
  */
 
 #ifndef CDPU_TESTS_DECODE_BATTERY_H_
@@ -17,9 +18,8 @@
 
 #include <functional>
 
+#include "battery.h"
 #include "common/error.h"
-#include "common/kernels.h"
-#include "corpus/generators.h"
 #include "harden/injector.h"
 
 namespace cdpu::battery
@@ -33,30 +33,6 @@ inline constexpr std::size_t kPayloadSizes[] = {0,     1,          100,
 
 /** Injector mutations checked per codec, at each tier. */
 inline constexpr u64 kMutations = 10000;
-
-/** The host's tiers, for checking one frame at each in turn. Restores
- *  the active tier on destruction. */
-class TierSweep
-{
-  public:
-    TierSweep() : saved_(kernels::activeTier()) {}
-    ~TierSweep() { (void)kernels::setActiveTier(saved_); }
-
-    /** Calls @p body(tier) with each available tier active. */
-    template <typename Body>
-    void
-    run(Body body) const
-    {
-        for (kernels::Tier tier : tiers_) {
-            EXPECT_TRUE(kernels::setActiveTier(tier).ok());
-            body(tier);
-        }
-    }
-
-  private:
-    kernels::Tier saved_;
-    std::vector<kernels::Tier> tiers_ = kernels::availableTiers();
-};
 
 using CompressFn = std::function<Bytes(ByteSpan)>;
 

@@ -15,8 +15,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <string>
 #include <thread>
+#include <tuple>
 
+#include "battery.h"
 #include "common/kernels.h"
 #include "common/mem.h"
 #include "common/varint.h"
@@ -30,6 +34,7 @@
 #include "huffman/code_builder.h"
 #include "huffman/decoder.h"
 #include "huffman/encoder.h"
+#include "lz77/fast_parse.h"
 #include "lz77/match_finder.h"
 #include "serve/codec_context.h"
 #include "serve/engine.h"
@@ -734,6 +739,227 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<kernels::Tier> &info) {
         return kernels::tierName(info.param);
     });
+
+// --- Compress fast paths ---------------------------------------------
+//
+// The software codecs parse through lz77::fastParse unless a caller
+// asks for stats or a trace; MatchFinder is its oracle.
+
+/** A labelled parse configuration. */
+struct ParseSetting
+{
+    std::string name;
+    lz77::MatchFinderConfig config;
+};
+
+/** Every parse geometry the four codecs produce: zstdlite's and
+ *  flatelite's level tables at their smallest and largest windows
+ *  (between them every window bound and none), snappy's and gipfeli's
+ *  fixed configurations (as their compressInto builds them). Levels
+ *  that share a row appear once. */
+std::vector<ParseSetting>
+codecParseSettings()
+{
+    std::vector<ParseSetting> settings;
+    auto key = [](const lz77::MatchFinderConfig &c) {
+        return std::tuple(c.hashTable.log2Entries, c.hashTable.ways,
+                          c.hashTable.hashFunction, c.windowSize,
+                          c.minMatchLength, c.maxMatchLength,
+                          c.lazyMatching, c.skipAcceleration);
+    };
+    auto add = [&](std::string name, const lz77::MatchFinderConfig &c) {
+        for (const ParseSetting &s : settings) {
+            if (key(s.config) == key(c))
+                return;
+        }
+        settings.push_back({std::move(name), c});
+    };
+
+    lz77::MatchFinderConfig snappy_config;
+    snappy_config.hashTable = snappy::CompressorConfig{}.hashTable;
+    snappy_config.windowSize = snappy::kBlockSize;
+    add("snappy", snappy_config);
+
+    lz77::MatchFinderConfig gipfeli_config;
+    gipfeli_config.windowSize = gipfeli::kWindowSize - 1;
+    gipfeli_config.minMatchLength = gipfeli::kMinMatch;
+    gipfeli_config.maxMatchLength = gipfeli::kMaxMatch;
+    gipfeli_config.hashTable.log2Entries = 14;
+    add("gipfeli", gipfeli_config);
+
+    for (unsigned window :
+         {zstdlite::kMinWindowLog, zstdlite::kMaxWindowLog}) {
+        for (int level = zstdlite::kMinLevel; level <= zstdlite::kMaxLevel;
+             ++level) {
+            add("zstdlite level " + std::to_string(level) + " window " +
+                    std::to_string(window),
+                zstdlite::levelParameters(level, window));
+        }
+    }
+    for (unsigned window :
+         {flatelite::kMinWindowLog, flatelite::kMaxWindowLog}) {
+        for (int level = 1; level <= 9; ++level) {
+            add("flatelite level " + std::to_string(level) + " window " +
+                    std::to_string(window),
+                flatelite::flateLevelParameters(level, window));
+        }
+    }
+    return settings;
+}
+
+void
+expectSameParse(const lz77::Parse &got, const lz77::Parse &want,
+                const std::string &what)
+{
+    EXPECT_EQ(got.inputSize, want.inputSize) << what;
+    EXPECT_EQ(got.literalTailStart, want.literalTailStart) << what;
+    ASSERT_EQ(got.sequences.size(), want.sequences.size()) << what;
+    for (std::size_t i = 0; i < want.sequences.size(); ++i) {
+        ASSERT_EQ(got.sequences[i], want.sequences[i])
+            << what << ", sequence " << i;
+    }
+}
+
+TEST(FastParseBattery, EqualsMatchFinderForEveryCodecGeometry)
+{
+    const std::vector<ParseSetting> settings = codecParseSettings();
+    for (const ParseSetting &setting : settings)
+        EXPECT_TRUE(lz77::hasFastParse(setting.config)) << setting.name;
+
+    const battery::TierSweep sweep;
+    battery::forEachPayload([&](const battery::Payload &payload) {
+        for (std::size_t k = 0; k < settings.size(); ++k) {
+            if (!payload.checks(k))
+                continue;
+            const std::string what = payload.what + ", " + settings[k].name;
+            lz77::MatchFinderStats stats;
+            const lz77::Parse want =
+                lz77::MatchFinder(settings[k].config)
+                    .parse(payload.bytes, &stats);
+            sweep.run([&](kernels::Tier tier) {
+                expectSameParse(
+                    lz77::fastParse(payload.bytes, settings[k].config),
+                    want, what + " at " + kernels::tierName(tier));
+            });
+        }
+    });
+}
+
+TEST(FastParseBattery, DeclinedMultiWayLookaheadEvictsAnExtraWay)
+{
+    // Two-way lazy parse (flatelite level 5). At 25 "zKEY" matches
+    // position 0 for 4 bytes; the lookahead at 26 finds "KEY!" at 5,
+    // also 4 bytes, and is declined. The lookahead inserted 26 into
+    // the "KEY!" set and the post-match inserts add 26 again, evicting
+    // 5. So at 34 "KEY!" sees only 26 (4 bytes), and the lookahead at
+    // 35 takes the 19-byte match at 6. A parser that inserted 26 once
+    // would find the 20-byte match at 5 from 34 instead.
+    const std::string text = std::string("zKEY?") +
+                             "KEY!0123456789abcdef" + "zKEY!#%&*" +
+                             "KEY!0123456789abcdef" + "()[]<>{}";
+    const Bytes input(text.begin(), text.end());
+    const lz77::MatchFinderConfig config =
+        flatelite::flateLevelParameters(5, flatelite::kMaxWindowLog);
+    ASSERT_EQ(config.hashTable.ways, 2u);
+    ASSERT_TRUE(config.lazyMatching);
+
+    lz77::MatchFinderStats stats;
+    const lz77::Parse want = lz77::MatchFinder(config).parse(input, &stats);
+    const std::vector<lz77::Sequence> expected = {
+        {.literalLength = 25, .matchLength = 4, .offset = 25},
+        {.literalLength = 6, .matchLength = 19, .offset = 29},
+    };
+    ASSERT_EQ(want.sequences, expected);
+    EXPECT_EQ(want.literalTailStart, 54u);
+    expectSameParse(lz77::fastParse(input, config), want, "crafted");
+}
+
+TEST(FastParseBattery, CountsItsWorkInKernelStats)
+{
+    Rng rng(5);
+    const Bytes data =
+        corpus::generate(corpus::DataClass::textLike, 64 * kKiB, rng);
+    const lz77::MatchFinderConfig config =
+        zstdlite::levelParameters(9, 17);
+    const mem::KernelStats before = mem::kernelStats();
+    const lz77::Parse parse = lz77::fastParse(data, config);
+    const mem::KernelStats delta = mem::kernelStats().diff(before);
+    EXPECT_FALSE(parse.sequences.empty());
+    // Every scanned position is hashed, and each match costs a compare.
+    EXPECT_GE(delta.tierHashPositions[0], data.size() / 8);
+    EXPECT_GE(delta.matchWordCompares, parse.sequences.size());
+}
+
+/** Untraced compressInto must equal the traced, stats-taking call —
+ *  the specialized parse against MatchFinder, through each codec. */
+TEST(CompressFastPathBattery, UntracedOutputEqualsTracedOutput)
+{
+    struct Setting
+    {
+        std::string name;
+        std::function<void(ByteSpan, Bytes &)> fast;
+        std::function<void(ByteSpan, Bytes &)> reference;
+    };
+    std::vector<Setting> settings;
+    settings.push_back(
+        {"snappy",
+         [](ByteSpan in, Bytes &out) { snappy::compressInto(in, out); },
+         [](ByteSpan in, Bytes &out) {
+             lz77::MatchFinderStats stats;
+             snappy::compressInto(in, out, {}, &stats);
+         }});
+    // One level per parser specialization: zstdlite's 1, 2, 4, 8 and
+    // 16 ways, flatelite's 1, 2 (lazy) and 4.
+    for (int level : {1, 3, 7, 9, 17}) {
+        zstdlite::CompressorConfig config;
+        config.level = level;
+        settings.push_back(
+            {"zstdlite level " + std::to_string(level),
+             [config](ByteSpan in, Bytes &out) {
+                 ASSERT_TRUE(zstdlite::compressInto(in, out, config).ok());
+             },
+             [config](ByteSpan in, Bytes &out) {
+                 zstdlite::FileTrace trace;
+                 lz77::MatchFinderStats stats;
+                 ASSERT_TRUE(zstdlite::compressInto(in, out, config,
+                                                    &trace, &stats)
+                                 .ok());
+             }});
+    }
+    for (int level : {1, 5, 7}) {
+        flatelite::CompressorConfig config;
+        config.level = level;
+        settings.push_back(
+            {"flatelite level " + std::to_string(level),
+             [config](ByteSpan in, Bytes &out) {
+                 ASSERT_TRUE(flatelite::compressInto(in, out, config).ok());
+             },
+             [config](ByteSpan in, Bytes &out) {
+                 flatelite::FileTrace trace;
+                 lz77::MatchFinderStats stats;
+                 ASSERT_TRUE(flatelite::compressInto(in, out, config,
+                                                     &trace, &stats)
+                                 .ok());
+             }});
+    }
+
+    const battery::TierSweep sweep;
+    battery::forEachPayload([&](const battery::Payload &payload) {
+        for (std::size_t k = 0; k < settings.size(); ++k) {
+            if (!payload.checks(k))
+                continue;
+            Bytes want;
+            settings[k].reference(payload.bytes, want);
+            sweep.run([&](kernels::Tier tier) {
+                Bytes got;
+                settings[k].fast(payload.bytes, got);
+                EXPECT_TRUE(got == want)
+                    << payload.what << ", " << settings[k].name << " at "
+                    << kernels::tierName(tier);
+            });
+        }
+    });
+}
 
 // --- Concurrent fuzz mode --------------------------------------------
 //

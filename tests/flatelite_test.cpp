@@ -50,6 +50,67 @@ TEST(FlateBinsTest, DistanceCodesMatchRfc1951)
     EXPECT_EQ(distanceBin(32768).extraBits, 13);
 }
 
+/** RFC 1951 §3.2.5's tables, scanned for the widest baseline not
+ *  above the value: the oracle for the table-driven bins. */
+FlateBin
+specScan(u32 value, bool distance)
+{
+    struct Spec
+    {
+        u32 baseline;
+        u8 extraBits;
+    };
+    static constexpr Spec kLengths[] = {
+        {3, 0},   {4, 0},   {5, 0},   {6, 0},   {7, 0},   {8, 0},
+        {9, 0},   {10, 0},  {11, 1},  {13, 1},  {15, 1},  {17, 1},
+        {19, 2},  {23, 2},  {27, 2},  {31, 2},  {35, 3},  {43, 3},
+        {51, 3},  {59, 3},  {67, 4},  {83, 4},  {99, 4},  {115, 4},
+        {131, 5}, {163, 5}, {195, 5}, {227, 5}, {258, 0},
+    };
+    static constexpr Spec kDistances[] = {
+        {1, 0},     {2, 0},     {3, 0},      {4, 0},     {5, 1},
+        {7, 1},     {9, 2},     {13, 2},     {17, 3},    {25, 3},
+        {33, 4},    {49, 4},    {65, 5},     {97, 5},    {129, 6},
+        {193, 6},   {257, 7},   {385, 7},    {513, 8},   {769, 8},
+        {1025, 9},  {1537, 9},  {2049, 10},  {3073, 10}, {4097, 11},
+        {6145, 11}, {8193, 12}, {12289, 12}, {16385, 13}, {24577, 13},
+    };
+    if (distance) {
+        for (std::size_t i = std::size(kDistances); i-- > 0;) {
+            if (value >= kDistances[i].baseline)
+                return {static_cast<u16>(i), kDistances[i].extraBits,
+                        kDistances[i].baseline};
+        }
+        return {0, 0, 1};
+    }
+    if (value >= kMaxMatchLength)
+        return {285, 0, 258};
+    for (std::size_t i = std::size(kLengths) - 1; i-- > 0;) {
+        if (value >= kLengths[i].baseline)
+            return {static_cast<u16>(257 + i), kLengths[i].extraBits,
+                    kLengths[i].baseline};
+    }
+    return {257, 0, 3};
+}
+
+void
+expectSameBin(const FlateBin &got, const FlateBin &want, u32 value)
+{
+    EXPECT_EQ(got.code, want.code) << value;
+    EXPECT_EQ(got.extraBits, want.extraBits) << value;
+    EXPECT_EQ(got.baseline, want.baseline) << value;
+}
+
+TEST(FlateBinsTest, TableLookupsEqualSpecScan)
+{
+    for (u32 length = 0; length <= 300; ++length)
+        expectSameBin(lengthBin(length), specScan(length, false), length);
+    for (u32 distance = 1; distance <= 65536; ++distance) {
+        expectSameBin(distanceBin(distance), specScan(distance, true),
+                      distance);
+    }
+}
+
 TEST(FlateBinsTest, CodeRoundTrips)
 {
     for (u32 len : {3u, 4u, 10u, 11u, 57u, 130u, 257u, 258u}) {

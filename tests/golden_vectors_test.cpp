@@ -1,15 +1,16 @@
 /**
  * @file
- * Golden-vector decode tests.
+ * Golden-vector tests.
  *
  * tests/vectors/ holds committed frames produced by each codec's
  * encoder (regenerate with examples/make_golden_vectors). Decoding
  * them back to the committed raw bytes pins on-disk format stability:
- * an encoder is free to evolve (better parses, different tables), but
  * a decoder that can no longer consume yesterday's frames would break
  * every consumer of stored compressed data — the serving fleet's
  * compress-once-decompress-often traffic (Section 3.1) makes that the
- * costliest regression a codec change can ship.
+ * costliest regression a codec change can ship. Re-encoding the raw
+ * bytes pins the encoders too: codec bytes change only on purpose,
+ * with the vectors regenerated in the same change.
  */
 
 #include <gtest/gtest.h>
@@ -106,6 +107,29 @@ TEST_P(GoldenVectorsTest, ContainerDecodesCommittedFrame)
         Status ps = container::decodeParallel(frame, 2, parallel);
         ASSERT_TRUE(ps.ok()) << ps.toString();
         EXPECT_EQ(parallel, raw_);
+    }
+}
+
+TEST_P(GoldenVectorsTest, EncodersReproduceCommittedFrames)
+{
+    // The parameters make_golden_vectors uses: each codec's clamped
+    // defaults, and 512-byte container blocks.
+    for (codec::CodecId id : codec::allCodecs()) {
+        SCOPED_TRACE(codec::codecName(id));
+        const codec::CodecVTable &vtable = codec::registry(id);
+        const codec::CodecParams params = vtable.caps.clamp(
+            vtable.caps.defaultLevel, vtable.caps.defaultWindowLog);
+        Bytes frame;
+        ASSERT_TRUE(vtable.compressInto(raw_, params, frame).ok());
+        EXPECT_TRUE(frame == readFile(base_ + "." + vtable.caps.name));
+
+        container::WriteOptions options;
+        options.blockBytes = 512;
+        Bytes container_frame;
+        ASSERT_TRUE(
+            container::write(id, raw_, options, container_frame).ok());
+        EXPECT_TRUE(container_frame ==
+                    readFile(base_ + ".container-" + vtable.caps.name));
     }
 }
 

@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "battery.h"
+#include "common/varint.h"
 #include "corpus/generators.h"
 #include "transform/transform.h"
 
@@ -119,6 +123,155 @@ TEST(TransformBwtTest, PeriodicAndConstantInputsRoundTrip)
         ASSERT_TRUE(apply(StageId::bwt, periodic, encoded).ok());
         ASSERT_TRUE(invert(StageId::bwt, encoded, decoded).ok());
         EXPECT_EQ(decoded, periodic);
+    }
+}
+
+// --- The fast apply loops against the loops they replaced ------------
+
+/** The linear-search move-to-front loop: the oracle for mtfApply. */
+Bytes
+referenceMtf(ByteSpan input)
+{
+    std::array<u8, 256> table;
+    std::iota(table.begin(), table.end(), 0);
+    Bytes out;
+    for (u8 byte : input) {
+        std::size_t index = 0;
+        while (table[index] != byte)
+            ++index;
+        out.push_back(static_cast<u8>(index));
+        std::copy_backward(table.begin(), table.begin() + index,
+                           table.begin() + index + 1);
+        table[0] = byte;
+    }
+    return out;
+}
+
+/** The prefix-doubling rotation sort with two `% n` per element per
+ *  round: the oracle for bwtForward, ties and primary index included.
+ *  Appends [varint len][varint primary][last column]. */
+void
+referenceBwtBlock(ByteSpan block, Bytes &out)
+{
+    const std::size_t n = block.size();
+    Bytes last(n);
+    u32 primary = 0;
+    if (n == 1)
+        last[0] = block[0];
+    if (n > 1) {
+        std::vector<u32> p(n), c(n), pn(n), cn(n);
+        std::vector<u32> cnt(256, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            cnt[block[i]]++;
+        for (std::size_t i = 1; i < 256; ++i)
+            cnt[i] += cnt[i - 1];
+        for (std::size_t i = n; i-- > 0;)
+            p[--cnt[block[i]]] = static_cast<u32>(i);
+        c[p[0]] = 0;
+        u32 classes = 1;
+        for (std::size_t i = 1; i < n; ++i) {
+            if (block[p[i]] != block[p[i - 1]])
+                ++classes;
+            c[p[i]] = classes - 1;
+        }
+        for (std::size_t h = 1; h < n && classes < n; h <<= 1) {
+            for (std::size_t i = 0; i < n; ++i) {
+                pn[i] = p[i] >= h ? p[i] - static_cast<u32>(h)
+                                  : static_cast<u32>(p[i] + n - h);
+            }
+            cnt.assign(classes, 0);
+            for (std::size_t i = 0; i < n; ++i)
+                cnt[c[pn[i]]]++;
+            for (std::size_t i = 1; i < classes; ++i)
+                cnt[i] += cnt[i - 1];
+            for (std::size_t i = n; i-- > 0;)
+                p[--cnt[c[pn[i]]]] = pn[i];
+            cn[p[0]] = 0;
+            u32 next_classes = 1;
+            for (std::size_t i = 1; i < n; ++i) {
+                std::size_t mid_a = (p[i] + h) % n;
+                std::size_t mid_b = (p[i - 1] + h) % n;
+                if (c[p[i]] != c[p[i - 1]] || c[mid_a] != c[mid_b])
+                    ++next_classes;
+                cn[p[i]] = next_classes - 1;
+            }
+            c.swap(cn);
+            classes = next_classes;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            last[i] = block[(p[i] + n - 1) % n];
+            if (p[i] == 0)
+                primary = static_cast<u32>(i);
+        }
+    }
+    putVarint(out, n);
+    putVarint(out, primary);
+    out.insert(out.end(), last.begin(), last.end());
+}
+
+/** The stage frame the oracles produce for @p stage over @p input. */
+Bytes
+referenceFrame(StageId stage, ByteSpan input)
+{
+    Bytes frame{static_cast<u8>(0xA0 | static_cast<u8>(stage))};
+    putVarint(frame, input.size());
+    if (stage == StageId::mtf) {
+        const Bytes body = referenceMtf(input);
+        frame.insert(frame.end(), body.begin(), body.end());
+        return frame;
+    }
+    for (std::size_t pos = 0; pos < input.size(); pos += kBwtBlockBytes) {
+        referenceBwtBlock(
+            input.subspan(pos, std::min(kBwtBlockBytes, input.size() - pos)),
+            frame);
+    }
+    return frame;
+}
+
+void
+expectApplyEqualsReference(StageId stage, ByteSpan input,
+                           const std::string &what)
+{
+    const Bytes want = referenceFrame(stage, input);
+    const battery::TierSweep sweep;
+    sweep.run([&](kernels::Tier tier) {
+        Bytes got;
+        ASSERT_TRUE(apply(stage, input, got).ok());
+        EXPECT_TRUE(got == want) << stageName(stage) << " on " << what
+                                 << " at " << kernels::tierName(tier);
+    });
+}
+
+TEST(TransformFastApplyTest, BwtAndMtfEqualTheReplacedLoops)
+{
+    const StageId stages[] = {StageId::bwt, StageId::mtf};
+    battery::forEachPayload([&](const battery::Payload &payload) {
+        for (std::size_t k = 0; k < std::size(stages); ++k) {
+            if (payload.checks(k))
+                expectApplyEqualsReference(stages[k], payload.bytes,
+                                           payload.what);
+        }
+    });
+}
+
+TEST(TransformFastApplyTest, TiedRotationsKeepTheirPrimaryIndex)
+{
+    // Periodic blocks make whole groups of rotations equal; the stable
+    // sorts' tie order decides which row the original lands on.
+    for (std::size_t period : {1u, 2u, 3u, 7u, 64u}) {
+        for (std::size_t size : {std::size_t{2}, std::size_t{255},
+                                 kBwtBlockBytes - 1, kBwtBlockBytes,
+                                 kBwtBlockBytes + 3}) {
+            Bytes periodic(size);
+            for (std::size_t i = 0; i < size; ++i) {
+                const std::size_t j = i % period;
+                periodic[i] = static_cast<u8>('a' + j * j % 7);
+            }
+            const std::string what = "period " + std::to_string(period) +
+                                     " at " + std::to_string(size) + " B";
+            expectApplyEqualsReference(StageId::bwt, periodic, what);
+            expectApplyEqualsReference(StageId::mtf, periodic, what);
+        }
     }
 }
 
