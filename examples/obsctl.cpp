@@ -16,6 +16,11 @@
  * with ASCII bars, SLO pass/fail lines, the last-K flight events
  * before a fault.
  *
+ * Every histogram object the document carries is checked with
+ * HistogramSnapshot::validate(); a violation is reported with its JSON
+ * path and obsctl exits 1, so a published tail that runs backwards or
+ * buckets that miscount cannot pass unseen.
+ *
  * Flags: --section spans|metrics|slo|flight restricts output;
  * --last K caps flight/span rows (default 32).
  */
@@ -28,6 +33,7 @@
 
 #include "common/cli.h"
 #include "common/table.h"
+#include "obs/counters.h"
 #include "obs/json.h"
 
 using namespace cdpu;
@@ -278,11 +284,18 @@ main(int argc, char **argv)
         const std::string &section;
         std::size_t last;
         bool *rendered;
+        std::vector<std::string> violations;
 
         void
-        visit(const JsonValue &value)
+        visit(const JsonValue &value, const std::string &path)
         {
             if (value.isObject()) {
+                if (value.has("buckets") && value.has("p999")) {
+                    Status valid = obs::HistogramSnapshot::validate(value);
+                    if (!valid.ok())
+                        violations.push_back(path + ": " +
+                                             valid.message());
+                }
                 if ((section.empty() || section == "spans") &&
                     value.has("span_period") && value.has("spans")) {
                     renderSpans(value, last);
@@ -305,15 +318,22 @@ main(int argc, char **argv)
                     *rendered = true;
                 }
                 for (const auto &[name, member] : value.members())
-                    visit(member);
+                    visit(member, path + "." + name);
             } else if (value.isArray()) {
-                for (const JsonValue &item : value.items())
-                    visit(item);
+                for (std::size_t i = 0; i < value.size(); ++i)
+                    visit(value.at(i),
+                          path + "[" + std::to_string(i) + "]");
             }
         }
     };
-    Walk walk{section, last, &rendered};
-    walk.visit(document);
+    Walk walk{section, last, &rendered, {}};
+    walk.visit(document, "$");
+
+    for (const std::string &violation : walk.violations)
+        std::fprintf(stderr, "obsctl: invalid histogram %s\n",
+                     violation.c_str());
+    if (!walk.violations.empty())
+        return 1;
 
     if (!rendered) {
         std::fprintf(stderr,

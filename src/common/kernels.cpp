@@ -11,14 +11,6 @@
  * CRC-32C polynomial, the same forward chunked-copy order), which is
  * what makes the cross-tier byte-identity batteries meaningful rather
  * than merely hopeful.
- *
- * Overlap discipline for wildCopy: the chunk width is clamped to the
- * forward distance dst - src (computed in uintptr space, so a
- * non-overlapping src > dst wraps to a huge distance and gets the
- * widest chunk). A chunk of width W <= dist only ever reads bytes that
- * are already final, so every W produces the byte-by-byte LZ replay
- * semantics inside [dst, dst + n) — tiers can differ only in the slop
- * bytes past n, which every call site trims.
  */
 
 #include "common/kernels.h"
@@ -33,7 +25,6 @@
 #endif
 
 #if defined(__aarch64__)
-#include <arm_neon.h>
 #define CDPU_KERNELS_NEON 1
 #endif
 
@@ -61,32 +52,10 @@ load64(const u8 *p)
     return v;
 }
 
-inline void
-store64(u8 *p, u64 v)
-{
-    std::memcpy(p, &v, sizeof(v));
-}
-
-/** Forward distance dst - src; wraps huge when src is ahead of dst. */
-inline std::size_t
-forwardDistance(const u8 *dst, const u8 *src)
-{
-    return static_cast<std::size_t>(reinterpret_cast<uintptr_t>(dst) -
-                                    reinterpret_cast<uintptr_t>(src));
-}
-
 // ---------------------------------------------------------------------------
-// Scalar tier: the reference semantics (identical to PR 2's mem.h
-// kernels, minus the stats attribution which now lives at dispatch
-// sites).
+// Scalar tier: the reference semantics (stats attribution lives at
+// the dispatch sites).
 // ---------------------------------------------------------------------------
-
-void
-wildCopyScalar(u8 *dst, const u8 *src, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; i += 8)
-        store64(dst + i, load64(src + i));
-}
 
 constexpr u32 kCrc32cPoly = 0x82f63b78u;
 
@@ -140,7 +109,6 @@ hashXorShiftRunScalar(const u8 *p, std::size_t count, u32 mul,
 }
 
 constexpr KernelOps kScalarOps = {
-    wildCopyScalar,
     crc32cUpdateScalar,
     hashMul32RunScalar,
     hashXorShiftRunScalar,
@@ -149,7 +117,7 @@ constexpr KernelOps kScalarOps = {
 #if CDPU_KERNELS_X86
 
 // ---------------------------------------------------------------------------
-// SSE4.2 tier: 16-byte copies, hardware CRC32C, 4-wide hashing.
+// SSE4.2 tier: hardware CRC32C, 4-wide hashing.
 // ---------------------------------------------------------------------------
 
 /** Shuffle mask turning 16 input bytes into four overlapping 4-byte
@@ -158,20 +126,6 @@ constexpr KernelOps kScalarOps = {
  *  variant, whose second load starts 4 positions later. */
 #define CDPU_HASH_WINDOW_BYTES                                               \
     0, 1, 2, 3, 1, 2, 3, 4, 2, 3, 4, 5, 3, 4, 5, 6
-
-__attribute__((target("sse4.2"))) void
-wildCopySse42(u8 *dst, const u8 *src, std::size_t n)
-{
-    if (forwardDistance(dst, src) < 16) {
-        wildCopyScalar(dst, src, n);
-        return;
-    }
-    for (std::size_t i = 0; i < n; i += 16) {
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(dst + i),
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(src + i)));
-    }
-}
 
 __attribute__((target("sse4.2"))) u32
 crc32cUpdateSse42(u32 crc, const u8 *p, std::size_t n)
@@ -246,41 +200,15 @@ hashXorShiftRunSse42(const u8 *p, std::size_t count, u32 mul,
 }
 
 const KernelOps kSse42Ops = {
-    wildCopySse42,
     crc32cUpdateSse42,
     hashMul32RunSse42,
     hashXorShiftRunSse42,
 };
 
 // ---------------------------------------------------------------------------
-// AVX2 tier: 32-byte copies, 8-wide hashing; CRC stays on the SSE4.2
-// crc32 instruction (no wider scalar CRC unit exists).
+// AVX2 tier: 8-wide hashing; CRC stays on the SSE4.2 crc32
+// instruction (no wider scalar CRC unit exists).
 // ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) void
-wildCopyAvx2(u8 *dst, const u8 *src, std::size_t n)
-{
-    std::size_t dist = forwardDistance(dst, src);
-    if (dist >= 32) {
-        for (std::size_t i = 0; i < n; i += 32) {
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(dst + i),
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(src + i)));
-        }
-        return;
-    }
-    if (dist >= 16) {
-        for (std::size_t i = 0; i < n; i += 16) {
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(dst + i),
-                _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(src + i)));
-        }
-        return;
-    }
-    wildCopyScalar(dst, src, n);
-}
 
 __attribute__((target("avx2"))) void
 hashMul32RunAvx2(const u8 *p, std::size_t count, u32 mul,
@@ -343,7 +271,6 @@ hashXorShiftRunAvx2(const u8 *p, std::size_t count, u32 mul,
 }
 
 const KernelOps kAvx2Ops = {
-    wildCopyAvx2,
     crc32cUpdateSse42,
     hashMul32RunAvx2,
     hashXorShiftRunAvx2,
@@ -354,23 +281,12 @@ const KernelOps kAvx2Ops = {
 #if CDPU_KERNELS_NEON
 
 // ---------------------------------------------------------------------------
-// NEON tier (AArch64 baseline): 16-byte copies; CRC and hashing stay
-// scalar until a measured port justifies them.
+// NEON tier (AArch64 baseline): CRC and hashing stay scalar until a
+// measured port justifies them; the tier's 16-byte store width is
+// mem::wildCopy's business.
 // ---------------------------------------------------------------------------
 
-void
-wildCopyNeon(u8 *dst, const u8 *src, std::size_t n)
-{
-    if (forwardDistance(dst, src) < 16) {
-        wildCopyScalar(dst, src, n);
-        return;
-    }
-    for (std::size_t i = 0; i < n; i += 16)
-        vst1q_u8(dst + i, vld1q_u8(src + i));
-}
-
 const KernelOps kNeonOps = {
-    wildCopyNeon,
     crc32cUpdateScalar,
     hashMul32RunScalar,
     hashXorShiftRunScalar,

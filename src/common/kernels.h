@@ -56,8 +56,8 @@ const char *tierName(Tier tier);
 /** Parses a tierName() string; invalidArgument on anything else. */
 Result<Tier> tierFromName(const std::string &name);
 
-/** Widest store a tier's wildCopy may round a length up to (bytes).
- *  kWildCopySlop in mem.h must cover the widest tier's round-up. */
+/** Widest store mem::wildCopy may round a length up to at @p tier
+ *  (bytes). kWildCopySlop in mem.h must cover the widest round-up. */
 unsigned storeWidth(Tier tier);
 
 /** Best tier the host CPU supports (compile target + CPUID). */
@@ -95,17 +95,6 @@ std::string cpuFeatureSummary();
  */
 struct KernelOps
 {
-    /**
-     * Copies @p n bytes in chunks of up to storeWidth(tier) bytes.
-     * May read up to storeWidth-1 bytes past src + n and write up to
-     * storeWidth-1 bytes past dst + n (both bounded by
-     * mem::kWildCopySlop). Forward-overlapping regions are legal for
-     * dst >= src + 8: the implementation clamps its chunk width to the
-     * overlap distance so an LZ match replay reads only bytes already
-     * written, byte-identical to the scalar 8-byte-chunk replay.
-     */
-    void (*wildCopy)(u8 *dst, const u8 *src, std::size_t n);
-
     /**
      * CRC-32C update over the RAW (pre-inverted) reflected state —
      * callers own the ~crc conditioning at both ends. Identical

@@ -37,18 +37,6 @@ flateLevelParameters(int level, unsigned window_log)
 namespace
 {
 
-/** Packs code lengths (<= 15) at 4 bits per symbol. */
-void
-packLengths(const std::vector<u8> &lengths, std::size_t count,
-            Bytes &out)
-{
-    for (std::size_t i = 0; i < count; i += 2) {
-        u8 lo = i < lengths.size() ? lengths[i] : 0;
-        u8 hi = i + 1 < lengths.size() ? lengths[i + 1] : 0;
-        out.push_back(static_cast<u8>(lo | (hi << 4)));
-    }
-}
-
 struct PendingBlock
 {
     std::vector<lz77::Sequence> sequences;
@@ -137,8 +125,8 @@ encodeBlock(ByteSpan input, std::size_t block_start,
     if (header_bytes + stream.size() + 8 < block_input.size()) {
         out.push_back(static_cast<u8>(last_bit | 2));
         putVarint(out, block.regenSize);
-        packLengths(lt.lengths, kLitLenAlphabet, out);
-        packLengths(dist_table.lengths, kDistanceAlphabet, out);
+        huffman::packLengths(lt.lengths, kLitLenAlphabet, out);
+        huffman::packLengths(dist_table.lengths, kDistanceAlphabet, out);
         putVarint(out, stream.size());
         out.insert(out.end(), stream.begin(), stream.end());
         block_trace.compressed = true;

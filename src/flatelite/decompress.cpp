@@ -21,17 +21,6 @@ peekFrameHeader(ByteSpan data)
 namespace
 {
 
-std::vector<u8>
-unpackLengths(ByteSpan packed, std::size_t count)
-{
-    std::vector<u8> lengths(count, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-        u8 byte = packed[i / 2];
-        lengths[i] = (i % 2) ? (byte >> 4) : (byte & 0x0f);
-    }
-    return lengths;
-}
-
 /** A compressed block's canonical codes; the distance code is absent
  *  when the block transmits no distance lengths. */
 struct BlockCodes
@@ -49,11 +38,12 @@ readBlockCodes(ByteSpan data, std::size_t &pos)
     const std::size_t dist_bytes = kDistanceAlphabet / 2;
     if (pos + litlen_bytes + dist_bytes > data.size())
         return Status::corrupt("flate tables truncated");
-    auto litlen_lengths = unpackLengths(data.subspan(pos, litlen_bytes),
-                                        kLitLenAlphabet);
+    auto litlen_lengths = huffman::unpackLengths(
+        data.subspan(pos, litlen_bytes), kLitLenAlphabet);
     pos += litlen_bytes;
     auto dist_lengths =
-        unpackLengths(data.subspan(pos, dist_bytes), kDistanceAlphabet);
+        huffman::unpackLengths(data.subspan(pos, dist_bytes),
+                               kDistanceAlphabet);
     pos += dist_bytes;
 
     BlockCodes codes;

@@ -81,33 +81,12 @@ struct DriveResult
     Bytes out;
 };
 
-/** Feeds @p data to a decompress session in @p chunk-byte steps
- *  (0 = one feed), draining eagerly, then finishes. Stops at the
- *  first error, like the serve layer's decompressAll. */
+/** Feeds @p data to a compress or decompress session in @p chunk-byte
+ *  steps (0 = one feed), draining eagerly, then finishes. Stops at the
+ *  first error, like the serve layer's compressAll/decompressAll. */
+template <typename Session>
 DriveResult
-driveDecode(codec::DecompressSession &session, ByteSpan data,
-            std::size_t chunk)
-{
-    DriveResult result;
-    const std::size_t step = chunk == 0 ? data.size() : chunk;
-    std::size_t pos = 0;
-    do {
-        std::size_t take = std::min(step, data.size() - pos);
-        result.status = session.feed(data.subspan(pos, take));
-        pos += take;
-        session.drain(result.out);
-        if (!result.status.ok())
-            return result;
-    } while (pos < data.size());
-    result.status = session.finish();
-    session.drain(result.out);
-    return result;
-}
-
-/** Chunk-granularity-invariant session compression. */
-DriveResult
-driveCompress(codec::CompressSession &session, ByteSpan data,
-              std::size_t chunk)
+drive(Session &session, ByteSpan data, std::size_t chunk)
 {
     DriveResult result;
     const std::size_t step = chunk == 0 ? data.size() : chunk;
@@ -210,6 +189,21 @@ class Battery
         return false;
     }
 
+    /** Records one decode's output size; past the tripwire it is an
+     *  allocation bug. */
+    void
+    checkOutputSize(const MutationSpec &spec, const char *path,
+                    std::size_t bytes)
+    {
+        if (bytes > config_.outputTripwireBytes) {
+            fail(spec, std::string(path) + " decode produced " +
+                           std::to_string(bytes) +
+                           " bytes, past the allocation tripwire");
+        }
+        report_.maxOutputBytes =
+            std::max<u64>(report_.maxOutputBytes, bytes);
+    }
+
     void
     decodeIteration(const MutationSpec &spec, u64 i)
     {
@@ -227,17 +221,8 @@ class Battery
         Status whole_status = vtable_.decompressInto(mutated, whole);
         recordFlight(i, whole_status, mutated.size(), whole.size());
         checkDecodeStatus(spec, whole_status, "whole-buffer");
-        if (whole.size() > config_.outputTripwireBytes) {
-            fail(spec, "whole-buffer decode produced " +
-                           std::to_string(whole.size()) +
-                           " bytes, past the allocation tripwire");
-        }
-        report_.maxOutputBytes =
-            std::max<u64>(report_.maxOutputBytes, whole.size());
-        if (whole_status.ok())
-            ++report_.survivors;
-        else
-            ++report_.cleanRejects;
+        checkOutputSize(spec, "whole-buffer", whole.size());
+        ++(whole_status.ok() ? report_.survivors : report_.cleanRejects);
 
         if (!config_.checkStreaming || config_.chunkSizes.empty())
             return;
@@ -250,7 +235,7 @@ class Battery
             // in the same failure class as the whole-buffer decode and
             // produce the same bytes on success.
             auto session = vtable_.makeDecompressSession();
-            DriveResult chunked = driveDecode(*session, mutated, chunk);
+            DriveResult chunked = drive(*session, mutated, chunk);
             checkDecodeStatus(spec, chunked.status, "streaming");
             compareOutcomes(spec, whole_status, whole, chunked,
                             "streaming vs whole-buffer", chunk);
@@ -264,19 +249,13 @@ class Battery
                 base_.streamFrames[donor_index]);
             auto reference_session = vtable_.makeDecompressSession();
             DriveResult reference =
-                driveDecode(*reference_session, stream_mutated, 0);
+                drive(*reference_session, stream_mutated, 0);
             checkDecodeStatus(spec, reference.status, "stream");
-            if (reference.out.size() > config_.outputTripwireBytes) {
-                fail(spec, "stream decode produced " +
-                               std::to_string(reference.out.size()) +
-                               " bytes, past the allocation tripwire");
-            }
-            report_.maxOutputBytes = std::max<u64>(
-                report_.maxOutputBytes, reference.out.size());
+            checkOutputSize(spec, "stream", reference.out.size());
 
             auto session = vtable_.makeDecompressSession();
             DriveResult chunked =
-                driveDecode(*session, stream_mutated, chunk);
+                drive(*session, stream_mutated, chunk);
             checkDecodeStatus(spec, chunked.status, "chunked stream");
             compareOutcomes(spec, reference.status, reference.out,
                             chunked, "chunked vs whole-feed stream",
@@ -315,17 +294,8 @@ class Battery
             mutated, sequential, options, &sequential_report);
         recordFlight(i, ss, mutated.size(), sequential.size());
         checkDecodeStatus(spec, ss, "container sequential");
-        if (sequential.size() > config_.outputTripwireBytes) {
-            fail(spec, "container decode produced " +
-                           std::to_string(sequential.size()) +
-                           " bytes, past the allocation tripwire");
-        }
-        report_.maxOutputBytes =
-            std::max<u64>(report_.maxOutputBytes, sequential.size());
-        if (ss.ok())
-            ++report_.survivors;
-        else
-            ++report_.cleanRejects;
+        checkOutputSize(spec, "container", sequential.size());
+        ++(ss.ok() ? report_.survivors : report_.cleanRejects);
 
         Bytes parallel;
         container::DecodeReport parallel_report;
@@ -464,10 +434,10 @@ class Battery
             reference.out = compressed;
         } else {
             auto reference_session = vtable_.makeCompressSession(params);
-            reference = driveCompress(*reference_session, payload, 0);
+            reference = drive(*reference_session, payload, 0);
         }
         auto session = vtable_.makeCompressSession(params);
-        DriveResult chunked = driveCompress(*session, payload, chunk);
+        DriveResult chunked = drive(*session, payload, chunk);
         if (!reference.status.ok() || !chunked.status.ok()) {
             fail(spec, "session compress failed on legal input: " +
                            reference.status.toString() + " / " +
@@ -481,7 +451,7 @@ class Battery
         }
         auto decode_session = vtable_.makeDecompressSession();
         DriveResult decoded =
-            driveDecode(*decode_session, reference.out, 0);
+            drive(*decode_session, reference.out, 0);
         if (!decoded.status.ok() || decoded.out != payload) {
             fail(spec, "session stream round-trip failed: " +
                            decoded.status.toString());

@@ -7,6 +7,7 @@
 #include "container/container.h"
 #include "flatelite/format.h"
 #include "gipfeli/gipfeli.h"
+#include "serve/wire.h"
 #include "snappy/framing.h"
 #include "zstdlite/format.h"
 
@@ -66,125 +67,25 @@ describeSpec(const MutationSpec &spec)
 namespace
 {
 
-/** Skips a varint's bytes (no value decoding); false when the frame
- *  ends mid-varint or the encoding exceeds 10 bytes. */
+/** Snappy chunk types across the framing spec's ranges: data,
+ *  reserved-unskippable, skippable, padding, stream identifier. */
+constexpr u8 kSnappyChunkTypes[] = {0x00, 0x01, 0x02, 0x7f,
+                                    0x80, 0xfe, 0xff};
+/** CDPC version, codec-id and flags values. */
+constexpr u8 kContainerDiscriminators[] = {0x00, 0x01, 0x02,
+                                           0x03, 0x7f, 0xff};
+/** Request version and direction values, and 'R', which turns the
+ *  request magic into the response's. */
+constexpr u8 kWireDiscriminators[] = {0x00, 0x01, 0x02, 'R', 0x7f, 0xff};
+
+/** Reads the varint at @p pos and advances past it; false when the
+ *  frame ends mid-varint or the encoding runs past 10 bytes. */
 bool
-skipVarint(ByteSpan frame, std::size_t &pos)
-{
-    for (std::size_t n = 0; n < 10 && pos < frame.size(); ++n) {
-        if (!(frame[pos++] & 0x80))
-            return true;
-    }
-    return false;
-}
-
-/** Boundaries of a snappy framed stream: every chunk start, each data
- *  chunk's CRC edges and payload start. */
-void
-snappyStreamOffsets(ByteSpan frame, std::vector<std::size_t> &offsets)
-{
-    std::size_t pos = 0;
-    while (pos + 4 <= frame.size()) {
-        offsets.push_back(pos);
-        u8 type = frame[pos];
-        std::size_t length = frame[pos + 1] |
-                             (static_cast<std::size_t>(frame[pos + 2])
-                              << 8) |
-                             (static_cast<std::size_t>(frame[pos + 3])
-                              << 16);
-        std::size_t body = pos + 4;
-        if (body > frame.size() || length > frame.size() - body)
-            break;
-        offsets.push_back(body);
-        if ((type == static_cast<u8>(snappy::ChunkType::compressedData) ||
-             type ==
-                 static_cast<u8>(snappy::ChunkType::uncompressedData)) &&
-            length >= 4) {
-            offsets.push_back(body + 4); // CRC | payload edge.
-        }
-        pos = body + length;
-    }
-}
-
-/** Boundaries of the magic/windowLog/contentSize header plus the block
- *  skeleton shared (modulo field widths) by zstdlite and flatelite:
- *  u8 header, varint regenSize, then a type-dependent body. */
-void
-blockFrameOffsets(ByteSpan frame, std::size_t magic_size,
-                  bool zstd_blocks, std::vector<std::size_t> &offsets)
-{
-    if (frame.size() <= magic_size + 1)
-        return;
-    offsets.push_back(magic_size);     // magic | windowLog edge.
-    offsets.push_back(magic_size + 1); // windowLog | contentSize edge.
-    std::size_t pos = magic_size + 1;
-    if (!skipVarint(frame, pos))
-        return;
-    offsets.push_back(pos); // header | first block edge.
-
-    bool last = false;
-    while (!last && pos < frame.size()) {
-        u8 header = frame[pos++];
-        last = header & 1;
-        u8 type = (header >> 1) & 3;
-        std::size_t regen_start = pos;
-        u64 regen = 0;
-        {
-            std::size_t probe = pos;
-            for (unsigned n = 0; n < 10 && probe < frame.size(); ++n) {
-                u8 byte = frame[probe++];
-                regen |= static_cast<u64>(byte & 0x7f) << (7 * n);
-                if (!(byte & 0x80))
-                    break;
-            }
-        }
-        if (!skipVarint(frame, pos))
-            return;
-        offsets.push_back(regen_start);
-        offsets.push_back(pos); // regenSize | body edge.
-        if (zstd_blocks) {
-            // 0 raw / 1 rle / 2 compressed.
-            if (type == 0) {
-                pos += regen;
-            } else if (type == 1) {
-                pos += 1;
-            } else {
-                u64 comp = 0;
-                std::size_t probe = pos;
-                for (unsigned n = 0; n < 10 && probe < frame.size();
-                     ++n) {
-                    u8 byte = frame[probe++];
-                    comp |= static_cast<u64>(byte & 0x7f) << (7 * n);
-                    if (!(byte & 0x80))
-                        break;
-                }
-                if (!skipVarint(frame, pos))
-                    return;
-                offsets.push_back(pos); // compSize | sections edge.
-                pos += comp;
-            }
-        } else {
-            // FlateLite: bit1 selects raw vs compressed; only the raw
-            // body is skippable without decoding the bitstream.
-            if (!(header & 2))
-                pos = pos + regen;
-            else
-                return;
-        }
-        if (pos > frame.size())
-            return;
-        offsets.push_back(pos); // block | next block edge.
-    }
-}
-
-/** Reads a varint's value and advances @p pos; false when the frame
- *  ends mid-varint. */
-bool
-probeVarint(ByteSpan frame, std::size_t &pos, u64 &value)
+readVarint(ByteSpan frame, std::size_t &pos, u64 &value)
 {
     value = 0;
     for (unsigned n = 0; n < 10 && pos < frame.size(); ++n) {
-        u8 byte = frame[pos++];
+        const u8 byte = frame[pos++];
         value |= static_cast<u64>(byte & 0x7f) << (7 * n);
         if (!(byte & 0x80))
             return true;
@@ -192,492 +93,443 @@ probeVarint(ByteSpan frame, std::size_t &pos, u64 &value)
     return false;
 }
 
-/**
- * End of the container's header: magic/version/codec/flags plus, when
- * the codec byte is the pipeline escape, the varint-length spec-name
- * region. Pushes the spec region's interior edges when @p offsets is
- * given; returns frame.size() when the skeleton runs out.
- */
-std::size_t
-containerHeaderEnd(ByteSpan frame, std::vector<std::size_t> *offsets)
+/** readVarint that records the varint as a length field and its end
+ *  as a boundary. */
+bool
+lengthVarint(ByteSpan frame, std::size_t &pos, u64 &value, FieldMap &map)
 {
-    const std::size_t fixed = container::kMagic.size() + 3;
-    if (frame.size() < fixed)
-        return frame.size();
-    std::size_t pos = fixed;
-    if (frame[container::kMagic.size() + 1] ==
-        container::kPipelineCodecByte) {
-        u64 spec_len = 0;
-        if (!probeVarint(frame, pos, spec_len))
-            return frame.size();
-        if (offsets)
-            offsets->push_back(pos); // specLen | name edge.
-        if (spec_len > frame.size() - pos)
-            return frame.size();
-        pos += static_cast<std::size_t>(spec_len);
-    }
-    return pos;
+    const std::size_t start = pos;
+    if (!readVarint(frame, pos, value))
+        return false;
+    map.lengths.push_back({start, pos - start});
+    map.boundaries.push_back(pos);
+    return true;
 }
 
-/** Skeleton of the block-parallel container (DESIGN.md §14): header
- *  byte edges, each index varint edge, the CRC's both edges, and every
- *  block boundary in the data section. Walks the claimed entry count
- *  but stops wherever the (possibly already-damaged) frame runs out. */
+/** Snappy raw: preamble length varint | element stream. */
 void
-containerFrameOffsets(ByteSpan frame, std::vector<std::size_t> &offsets)
+walkSnappyRaw(ByteSpan frame, FieldMap &map)
 {
-    const std::size_t fixed = container::kMagic.size() + 3;
-    if (frame.size() < fixed)
+    std::size_t pos = 0;
+    u64 length = 0;
+    (void)lengthVarint(frame, pos, length, map);
+}
+
+/** Snappy framed stream: per chunk a type byte, a 24-bit length and a
+ *  body; data chunks open their body with a masked CRC-32C. */
+void
+walkSnappyStream(ByteSpan frame, FieldMap &map)
+{
+    map.discriminatorValues = kSnappyChunkTypes;
+    std::size_t pos = 0;
+    while (pos + 4 <= frame.size()) {
+        map.boundaries.push_back(pos);
+        map.discriminators.push_back(pos);
+        map.lengths.push_back({pos + 1, 3});
+        const u8 type = frame[pos];
+        const std::size_t length =
+            frame[pos + 1] |
+            (static_cast<std::size_t>(frame[pos + 2]) << 8) |
+            (static_cast<std::size_t>(frame[pos + 3]) << 16);
+        const std::size_t body = pos + 4;
+        if (length > frame.size() - body)
+            break;
+        map.boundaries.push_back(body);
+        if ((type == static_cast<u8>(snappy::ChunkType::compressedData) ||
+             type ==
+                 static_cast<u8>(snappy::ChunkType::uncompressedData)) &&
+            length >= 4) {
+            map.checksums.push_back({body, 4});
+            map.boundaries.push_back(body + 4);
+        }
+        pos = body + length;
+    }
+}
+
+/** The magic | windowLog | contentSize header, then the block skeleton
+ *  zstdlite and flatelite share: a u8 header (bit 0 last, bits 1-2
+ *  type) and a regenSize varint ahead of a type-dependent body. Only
+ *  zstdlite's compressed body (compSize varint) and each codec's raw
+ *  and RLE bodies can be skipped without decoding. */
+void
+walkBlockFrame(ByteSpan frame, std::size_t magic_size, bool zstd_blocks,
+               FieldMap &map)
+{
+    if (frame.size() <= magic_size + 1)
         return;
-    for (std::size_t pos = container::kMagic.size(); pos <= fixed;
-         ++pos)
-        offsets.push_back(pos); // magic|version|codec|flags edges.
-    std::size_t pos = containerHeaderEnd(frame, &offsets);
+    map.boundaries.push_back(magic_size);
+    map.boundaries.push_back(magic_size + 1);
+    std::size_t pos = magic_size + 1;
+    u64 content = 0;
+    if (!lengthVarint(frame, pos, content, map))
+        return;
+    bool last = false;
+    while (!last && pos < frame.size()) {
+        const u8 header = frame[pos++];
+        last = header & 1;
+        const u8 type = (header >> 1) & 3;
+        const std::size_t regen_start = pos;
+        u64 regen = 0;
+        if (!readVarint(frame, pos, regen))
+            return;
+        map.boundaries.push_back(regen_start);
+        map.boundaries.push_back(pos);
+        u64 body = regen;
+        if (zstd_blocks && type == 1) {
+            body = 1; // RLE.
+        } else if (zstd_blocks && type >= 2) {
+            if (!readVarint(frame, pos, body))
+                return;
+            map.boundaries.push_back(pos); // compSize | sections edge.
+        } else if (!zstd_blocks && (header & 2)) {
+            return; // A flatelite bitstream ends only when decoded.
+        }
+        if (body > frame.size() - pos)
+            return;
+        pos += body;
+        map.boundaries.push_back(pos);
+    }
+}
+
+/** gipfeli: magic | contentSize varint | per-call tables and stream. */
+void
+walkGipfeli(ByteSpan frame, FieldMap &map)
+{
+    std::size_t pos = gipfeli::kMagic.size();
+    if (frame.size() <= pos)
+        return;
+    map.boundaries.push_back(pos);
+    u64 content = 0;
+    (void)lengthVarint(frame, pos, content, map);
+}
+
+/** The CDPC container (DESIGN.md §14): magic | version | codec | flags
+ *  (plus a varint-length spec name behind the pipeline escape), the
+ *  varint index (blockCount, totalRegen, then offset, compSize and
+ *  regenSize per block), the index CRC, and the data section's block
+ *  boundaries. Walks the claimed entry count but stops wherever the
+ *  frame runs out. */
+void
+walkContainer(ByteSpan frame, FieldMap &map)
+{
+    const std::size_t magic = container::kMagic.size();
+    if (frame.size() < magic + 3)
+        return;
+    for (std::size_t pos = magic; pos <= magic + 3; ++pos)
+        map.boundaries.push_back(pos);
+    map.discriminators = {magic, magic + 1, magic + 2};
+    map.discriminatorValues = kContainerDiscriminators;
+    std::size_t pos = magic + 3;
+    if (frame[magic + 1] == container::kPipelineCodecByte) {
+        // The spec name's length is a boundary but not a lengthTamper
+        // target: the index varints are the fields under test.
+        u64 spec_len = 0;
+        if (!readVarint(frame, pos, spec_len))
+            return;
+        map.boundaries.push_back(pos);
+        if (spec_len > frame.size() - pos)
+            return;
+        pos += static_cast<std::size_t>(spec_len);
+    }
     if (pos >= frame.size())
         return;
-    offsets.push_back(pos); // header | blockCount edge.
+    map.boundaries.push_back(pos);
     u64 block_count = 0;
-    if (!probeVarint(frame, pos, block_count))
+    u64 total = 0;
+    if (!lengthVarint(frame, pos, block_count, map) ||
+        !lengthVarint(frame, pos, total, map))
         return;
-    offsets.push_back(pos); // blockCount | totalRegen edge.
-    if (!skipVarint(frame, pos))
-        return;
-    offsets.push_back(pos); // totalRegen | entries edge.
-
     std::vector<u64> comp_sizes;
     for (u64 i = 0; i < block_count && pos < frame.size(); ++i) {
-        if (!skipVarint(frame, pos)) // offset
-            return;
-        offsets.push_back(pos);
+        u64 offset = 0;
         u64 comp = 0;
-        if (!probeVarint(frame, pos, comp))
+        u64 regen = 0;
+        if (!lengthVarint(frame, pos, offset, map) ||
+            !lengthVarint(frame, pos, comp, map) ||
+            !lengthVarint(frame, pos, regen, map))
             return;
-        offsets.push_back(pos);
-        if (!skipVarint(frame, pos)) // regenSize
-            return;
-        offsets.push_back(pos); // entry | next entry edge.
         comp_sizes.push_back(comp);
     }
     if (frame.size() - pos < 4)
         return;
-    offsets.push_back(pos + 4); // CRC | data edge.
+    map.checksums.push_back({pos, 4});
     const std::size_t data = pos + 4;
-    u64 boundary = 0;
+    map.boundaries.push_back(data);
+    std::size_t boundary = data;
     for (u64 comp : comp_sizes) {
-        if (comp > frame.size() - data - boundary)
+        if (comp > frame.size() - boundary)
             break;
-        boundary += comp;
-        offsets.push_back(data + static_cast<std::size_t>(boundary));
+        boundary += static_cast<std::size_t>(comp);
+        map.boundaries.push_back(boundary);
     }
 }
 
-/** Byte position of the container's 4-byte index CRC, or frame.size()
- *  when the skeleton ends before one. */
-std::size_t
-containerCrcPos(ByteSpan frame)
+/**
+ * Completes a walk: sorts the boundaries; for codec frames, adds the
+ * varint starting at each interior boundary as a length candidate
+ * (block and chunk length fields surface there); falls back to the
+ * byte at each boundary as the discriminators when the grammar names
+ * none; and aims the header region at the leading bytes when the
+ * grammar names none.
+ */
+FieldMap
+finish(ByteSpan frame, FieldMap map, bool varints_at_boundaries)
 {
-    std::size_t pos = containerHeaderEnd(frame, nullptr);
-    if (pos >= frame.size())
-        return frame.size();
-    u64 block_count = 0;
-    if (!probeVarint(frame, pos, block_count) || !skipVarint(frame, pos))
-        return frame.size();
-    for (u64 i = 0; i < block_count && pos < frame.size(); ++i) {
-        if (!skipVarint(frame, pos) || !skipVarint(frame, pos) ||
-            !skipVarint(frame, pos))
-            return frame.size();
+    std::vector<std::size_t> &edges = map.boundaries;
+    edges.push_back(0);
+    edges.push_back(frame.size());
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    for (std::size_t edge : edges) {
+        u64 value = 0;
+        std::size_t pos = edge;
+        if (varints_at_boundaries && edge > 0 && edge < frame.size() &&
+            readVarint(frame, pos, value))
+            map.lengths.push_back({edge, pos - edge});
     }
-    return frame.size() - pos >= 4 ? pos : frame.size();
+    if (map.discriminators.empty() && !frame.empty()) {
+        // Block frames keep their discriminator in the low bits of each
+        // unit's first byte; elsewhere the byte after a boundary is the
+        // nearest equivalent.
+        map.discriminatorValues = {};
+        for (std::size_t edge : edges)
+            map.discriminators.push_back(
+                std::min(edge, frame.size() - 1));
+    }
+    if (map.header.size == 0)
+        map.header = {0, std::min<std::size_t>(frame.size(), 8)};
+    return map;
 }
 
-/** Index varint ranges of a container frame: blockCount, totalRegen,
- *  and every entry's offset/compSize/regenSize — the fields an
- *  index-offset tamper or regen-size lie rewrites. */
-std::vector<std::pair<std::size_t, std::size_t>>
-containerLengthRanges(ByteSpan frame)
+/** Unwraps @p frame through @p terminal, damages the staged bytes'
+ *  leading stage header (tag byte or claimed raw-size varint) and
+ *  re-wraps them into @p out, so the damage survives a clean terminal
+ *  decode and must be caught by the stage inverter. False when the
+ *  frame does not unwrap or re-wrap. */
+bool
+tamperStageHeader(ByteSpan frame, const codec::CodecVTable &terminal,
+                  Rng &rng, Bytes &out)
 {
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    std::size_t pos = containerHeaderEnd(frame, nullptr);
-    if (pos >= frame.size())
-        return ranges;
-    u64 block_count = 0;
-    {
-        std::size_t start = pos;
-        if (!probeVarint(frame, pos, block_count))
-            return ranges;
-        ranges.emplace_back(start, pos - start);
+    Bytes staged;
+    if (!terminal.decompressInto(frame, staged).ok() || staged.empty())
+        return false;
+    const std::size_t byte =
+        rng.below(std::min<std::size_t>(staged.size(), 4));
+    switch (rng.below(3)) {
+      case 0: staged[byte] = 0xff; break;
+      case 1: staged[byte] = 0x00; break;
+      default: staged[byte] ^= static_cast<u8>(1 + rng.below(255)); break;
     }
-    {
-        std::size_t start = pos;
-        if (!skipVarint(frame, pos))
-            return ranges;
-        ranges.emplace_back(start, pos - start);
-    }
-    for (u64 i = 0; i < block_count && pos < frame.size(); ++i) {
-        for (int field = 0; field < 3; ++field) {
-            std::size_t start = pos;
-            if (!skipVarint(frame, pos))
-                return ranges;
-            ranges.emplace_back(start, pos - start);
-        }
-    }
-    return ranges;
-}
-
-/** Positions of likely length fields under the frame's grammar: the
- *  byte ranges a lengthTamper mutation rewrites. */
-std::vector<std::pair<std::size_t, std::size_t>>
-lengthFieldRanges(codec::CodecId id, FrameKind kind, ByteSpan frame)
-{
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    if (kind == FrameKind::container)
-        return containerLengthRanges(frame);
-    auto varint_range = [&](std::size_t start) {
-        std::size_t pos = start;
-        if (skipVarint(frame, pos) && pos > start)
-            ranges.emplace_back(start, pos - start);
-    };
-    // A pipeline's buffer/stream frames are its terminal codec's wire
-    // format wrapping staged bytes, so length fields sit where the
-    // terminal grammar puts them. Codecs whose sessions share the
-    // buffer container (every pipeline) follow the buffer grammar
-    // even for stream frames.
-    if (kind == FrameKind::stream &&
-        codec::registry(id).caps.streamingSharesBufferFormat)
-        kind = FrameKind::buffer;
-    switch (codec::terminalBase(id)) {
-      case codec::BaseCodecId::snappy:
-        if (kind == FrameKind::buffer) {
-            varint_range(0); // Preamble uncompressed length.
-        } else {
-            // Every chunk's 24-bit length field.
-            std::size_t pos = 0;
-            while (pos + 4 <= frame.size()) {
-                ranges.emplace_back(pos + 1, 3);
-                std::size_t length =
-                    frame[pos + 1] |
-                    (static_cast<std::size_t>(frame[pos + 2]) << 8) |
-                    (static_cast<std::size_t>(frame[pos + 3]) << 16);
-                if (length > frame.size() - pos - 4)
-                    break;
-                pos += 4 + length;
-            }
-        }
-        break;
-      case codec::BaseCodecId::zstdlite:
-        varint_range(zstdlite::kMagic.size() + 1); // contentSize.
-        break;
-      case codec::BaseCodecId::flatelite:
-        varint_range(flatelite::kMagic.size() + 1);
-        break;
-      case codec::BaseCodecId::gipfeli:
-        varint_range(gipfeli::kMagic.size());
-        break;
-    }
-    // Block/chunk-level varints surface through structuralOffsets; add
-    // the varint starting at each interior boundary as a candidate.
-    for (std::size_t offset :
-         CorruptionInjector::structuralOffsets(id, kind, frame)) {
-        if (offset == 0 || offset >= frame.size())
-            continue;
-        varint_range(offset);
-    }
-    return ranges;
-}
-
-std::size_t
-pickOffset(const std::vector<std::size_t> &offsets, Rng &rng)
-{
-    return offsets[rng.below(offsets.size())];
+    const codec::CodecParams params = terminal.caps.clamp(
+        terminal.caps.defaultLevel, terminal.caps.defaultWindowLog);
+    Bytes rewrapped;
+    if (!terminal.compressInto(staged, params, rewrapped).ok())
+        return false;
+    out = std::move(rewrapped);
+    return true;
 }
 
 } // namespace
 
-std::vector<std::size_t>
-CorruptionInjector::structuralOffsets(codec::CodecId id, FrameKind kind,
-                                      ByteSpan frame)
+FieldMap
+mapFrame(codec::CodecId id, FrameKind kind, ByteSpan frame)
 {
-    std::vector<std::size_t> offsets = {0, frame.size()};
+    FieldMap map;
     if (kind == FrameKind::container) {
         // The container grammar is the same for every inner codec;
-        // intra-block offsets are the inner codec's business and the
+        // intra-block fields are the inner codec's business and the
         // block-level fuzz legs already cover them.
-        containerFrameOffsets(frame, offsets);
-        std::sort(offsets.begin(), offsets.end());
-        offsets.erase(std::unique(offsets.begin(), offsets.end()),
-                      offsets.end());
-        while (!offsets.empty() && offsets.back() > frame.size())
-            offsets.pop_back();
-        if (offsets.empty() || offsets.back() != frame.size())
-            offsets.push_back(frame.size());
-        return offsets;
+        walkContainer(frame, map);
+        return finish(frame, std::move(map), false);
     }
     // Pipelines wrap staged bytes in their terminal codec's wire
-    // format, so the terminal grammar is the one with boundaries;
-    // shared-format sessions emit buffer frames even under kind
-    // stream.
-    if (kind == FrameKind::stream &&
-        codec::registry(id).caps.streamingSharesBufferFormat)
-        kind = FrameKind::buffer;
+    // format, so the terminal grammar is the one with fields; codecs
+    // whose sessions share the buffer format emit buffer frames even
+    // under kind stream.
+    const codec::CodecCaps &caps = codec::registry(id).caps;
+    if (caps.isPipeline)
+        map.stagedTerminal =
+            &codec::registry(codec::toCodecId(caps.terminal));
+    const bool stream =
+        kind == FrameKind::stream && !caps.streamingSharesBufferFormat;
     switch (codec::terminalBase(id)) {
       case codec::BaseCodecId::snappy:
-        if (kind == FrameKind::buffer) {
-            std::size_t pos = 0;
-            if (skipVarint(frame, pos))
-                offsets.push_back(pos); // Preamble | element edge.
-        } else {
-            snappyStreamOffsets(frame, offsets);
-        }
+        if (stream)
+            walkSnappyStream(frame, map);
+        else
+            walkSnappyRaw(frame, map);
         break;
       case codec::BaseCodecId::zstdlite:
-        blockFrameOffsets(frame, zstdlite::kMagic.size(), true, offsets);
+        walkBlockFrame(frame, zstdlite::kMagic.size(), true, map);
         break;
       case codec::BaseCodecId::flatelite:
-        blockFrameOffsets(frame, flatelite::kMagic.size(), false,
-                          offsets);
+        walkBlockFrame(frame, flatelite::kMagic.size(), false, map);
         break;
-      case codec::BaseCodecId::gipfeli: {
-        // magic | contentSize varint | per-call body (tables + stream).
-        std::size_t pos = gipfeli::kMagic.size();
-        if (frame.size() > pos) {
-            offsets.push_back(pos);
-            if (skipVarint(frame, pos))
-                offsets.push_back(pos);
-        }
+      case codec::BaseCodecId::gipfeli:
+        walkGipfeli(frame, map);
         break;
-      }
     }
-    std::sort(offsets.begin(), offsets.end());
-    offsets.erase(std::unique(offsets.begin(), offsets.end()),
-                  offsets.end());
-    // Clamp anything a damaged skeleton walked past the end.
-    while (!offsets.empty() && offsets.back() > frame.size())
-        offsets.pop_back();
-    if (offsets.empty() || offsets.back() != frame.size())
-        offsets.push_back(frame.size());
-    return offsets;
+    return finish(frame, std::move(map), true);
+}
+
+FieldMap
+mapWireRequest(ByteSpan frame)
+{
+    using serve::RequestField;
+    FieldMap map;
+    for (std::size_t edge :
+         {RequestField::magic, RequestField::version,
+          RequestField::direction, RequestField::specBytes,
+          RequestField::requestId, RequestField::tenantId,
+          RequestField::level, RequestField::windowLog,
+          RequestField::deadlineNs, RequestField::payloadBytes,
+          serve::kRequestHeaderBytes}) {
+        if (edge <= frame.size())
+            map.boundaries.push_back(edge);
+    }
+    for (FieldRange field : {FieldRange{RequestField::specBytes, 2},
+                             FieldRange{RequestField::payloadBytes, 4}}) {
+        if (field.start + field.size <= frame.size())
+            map.lengths.push_back(field);
+    }
+    map.discriminatorValues = kWireDiscriminators;
+    for (std::size_t byte :
+         {RequestField::magic + sizeof serve::kRequestMagic - 1,
+          RequestField::version, RequestField::direction}) {
+        if (byte < frame.size())
+            map.discriminators.push_back(byte);
+    }
+    if (frame.size() >= serve::kRequestHeaderBytes) {
+        // The codec spec is the one grammar-checked region, charset
+        // [a-z0-9+_-]: stageHeaderTamper's target.
+        const std::size_t spec_end =
+            serve::kRequestHeaderBytes + frame[RequestField::specBytes] +
+            (static_cast<std::size_t>(frame[RequestField::specBytes + 1])
+             << 8);
+        if (spec_end <= frame.size())
+            map.boundaries.push_back(spec_end);
+        map.header = {serve::kRequestHeaderBytes,
+                      std::min(spec_end, frame.size()) -
+                          serve::kRequestHeaderBytes};
+    }
+    return finish(frame, std::move(map), false);
 }
 
 Bytes
-CorruptionInjector::mutate(ByteSpan frame, const MutationSpec &spec,
-                           FrameKind kind, ByteSpan donor)
+mutateFrame(ByteSpan frame, const Grammar &grammar, MutationClass cls,
+            u64 rng_seed, ByteSpan donor)
 {
-    Rng rng(mutationSeed(spec));
+    Rng rng(rng_seed);
     Bytes out(frame.begin(), frame.end());
-    if (frame.empty() && spec.cls != MutationClass::splice)
+    if (frame.empty() && cls != MutationClass::splice)
         return out;
+    const FieldMap map = grammar(frame);
+    auto pick = [&rng](const auto &items) {
+        return items[rng.below(items.size())];
+    };
 
-    switch (spec.cls) {
+    switch (cls) {
       case MutationClass::bitFlip: {
-        std::size_t flips = 1 + rng.below(8);
+        const std::size_t flips = 1 + rng.below(8);
         for (std::size_t i = 0; i < flips; ++i) {
-            std::size_t bit = rng.below(out.size() * 8);
+            const std::size_t bit = rng.below(out.size() * 8);
             out[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
         }
         break;
       }
       case MutationClass::truncate: {
-        auto offsets = structuralOffsets(spec.codec, kind, frame);
-        std::size_t cut = pickOffset(offsets, rng);
+        std::size_t cut = pick(map.boundaries);
         // Half the time shift by one byte to land mid-field.
         if (rng.chance(0.5)) {
             if (rng.chance(0.5) && cut > 0)
                 --cut;
-            else if (cut < frame.size())
+            else if (cut < out.size())
                 ++cut;
         }
         out.resize(cut);
         break;
       }
       case MutationClass::lengthTamper: {
-        auto ranges = lengthFieldRanges(spec.codec, kind, frame);
-        if (ranges.empty()) {
+        if (map.lengths.empty()) {
             out[rng.below(out.size())] = 0xff;
             break;
         }
-        auto [start, len] = ranges[rng.below(ranges.size())];
+        const FieldRange field = pick(map.lengths);
+        u8 *bytes = out.data() + field.start;
         switch (rng.below(4)) {
-          case 0: // Huge: saturate every byte (varints grow, LE
-                  // fields max out).
-            for (std::size_t i = 0; i < len; ++i)
-                out[start + i] = 0xff;
+          case 0: // Huge: varints grow, fixed-width fields max out.
+            std::fill_n(bytes, field.size, u8{0xff});
             break;
-          case 1: // Zero the field.
-            for (std::size_t i = 0; i < len; ++i)
-                out[start + i] = 0;
-            break;
-          case 2: // Off-by-one on the low byte.
-            out[start] = static_cast<u8>(out[start] + 1);
-            break;
-          default: // Random low byte (keeps varint shape half the
-                   // time).
-            out[start] = static_cast<u8>(rng.next());
+          case 1: std::fill_n(bytes, field.size, u8{0}); break;
+          case 2: ++bytes[0]; break; // Off by one in the low byte.
+          default: // Random low byte (keeps varint shape half the time).
+            bytes[0] = static_cast<u8>(rng.next());
             break;
         }
         break;
       }
       case MutationClass::crcTamper: {
-        if (kind == FrameKind::container) {
-            // Flip a bit inside the index CRC so a byte-perfect index
-            // arrives with a wrong checksum (and vice versa the other
-            // classes leave the CRC stale over a tampered index).
-            std::size_t crc = containerCrcPos(frame);
-            if (crc < frame.size()) {
-                out[crc + rng.below(4)] ^=
-                    static_cast<u8>(1u << rng.below(8));
-                break;
-            }
+        if (map.checksums.empty()) {
+            // No integrity field: damage the tail, where content-size
+            // and termination checks must catch it.
+            const std::size_t byte =
+                out.size() - 1 -
+                rng.below(std::min<std::size_t>(out.size(), 4));
+            out[byte] ^= static_cast<u8>(1u << rng.below(8));
+            break;
         }
-        if (spec.codec == codec::CodecId::snappy &&
-            kind == FrameKind::stream) {
-            // Flip a bit inside a data chunk's masked CRC field.
-            std::size_t pos = 0;
-            std::vector<std::size_t> crc_fields;
-            while (pos + 4 <= frame.size()) {
-                u8 type = frame[pos];
-                std::size_t length =
-                    frame[pos + 1] |
-                    (static_cast<std::size_t>(frame[pos + 2]) << 8) |
-                    (static_cast<std::size_t>(frame[pos + 3]) << 16);
-                if (length > frame.size() - pos - 4)
-                    break;
-                if ((type == static_cast<u8>(
-                                 snappy::ChunkType::compressedData) ||
-                     type == static_cast<u8>(
-                                 snappy::ChunkType::uncompressedData)) &&
-                    length >= 4) {
-                    crc_fields.push_back(pos + 4);
-                }
-                pos += 4 + length;
-            }
-            if (!crc_fields.empty()) {
-                std::size_t field =
-                    crc_fields[rng.below(crc_fields.size())];
-                out[field + rng.below(4)] ^=
-                    static_cast<u8>(1u << rng.below(8));
-                break;
-            }
-        }
-        // No integrity field in this grammar: damage the stream tail,
-        // where content-size/termination validation must catch it.
-        std::size_t tail = out.size() - 1 -
-                           rng.below(std::min<std::size_t>(out.size(),
-                                                           4));
-        out[tail] ^= static_cast<u8>(1u << rng.below(8));
+        // Draw order (field, bit, byte) is part of the replay contract.
+        const FieldRange field = pick(map.checksums);
+        const u8 bit = static_cast<u8>(1u << rng.below(8));
+        out[field.start + rng.below(field.size)] ^= bit;
         break;
       }
       case MutationClass::chunkTypeSwap: {
-        if (kind == FrameKind::container &&
-            frame.size() >= container::kMagic.size() + 3) {
-            // The container's discriminators are the version, codec-id,
-            // and flags bytes right after the magic.
-            static constexpr u8 kDiscriminators[] = {0x00, 0x01, 0x02,
-                                                     0x03, 0x7f, 0xff};
-            std::size_t byte =
-                container::kMagic.size() + rng.below(3);
-            out[byte] = kDiscriminators[rng.below(
-                std::size(kDiscriminators))];
-            break;
-        }
-        if (spec.codec == codec::CodecId::snappy &&
-            kind == FrameKind::stream) {
-            // Rewrite a chunk type byte across the spec's interesting
-            // ranges: data, reserved-unskippable, skippable, padding,
-            // identifier.
-            static constexpr u8 kTypes[] = {0x00, 0x01, 0x02, 0x7f,
-                                            0x80, 0xfe, 0xff};
-            std::size_t pos = 0;
-            std::vector<std::size_t> headers;
-            while (pos + 4 <= frame.size()) {
-                headers.push_back(pos);
-                std::size_t length =
-                    frame[pos + 1] |
-                    (static_cast<std::size_t>(frame[pos + 2]) << 8) |
-                    (static_cast<std::size_t>(frame[pos + 3]) << 16);
-                if (length > frame.size() - pos - 4)
-                    break;
-                pos += 4 + length;
-            }
-            if (!headers.empty()) {
-                out[headers[rng.below(headers.size())]] =
-                    kTypes[rng.below(std::size(kTypes))];
-                break;
-            }
-        }
-        // Block-structured frames keep their discriminator in the
-        // low bits of each unit's first byte; elsewhere the first
-        // byte after a boundary is the nearest equivalent.
-        auto offsets = structuralOffsets(spec.codec, kind, frame);
-        std::size_t offset = pickOffset(offsets, rng);
-        if (offset >= out.size())
-            offset = out.size() - 1;
-        out[offset] ^= static_cast<u8>(1 + rng.below(7));
-        break;
-      }
-      case MutationClass::stageHeaderTamper: {
-        const codec::CodecCaps &caps = codec::registry(spec.codec).caps;
-        if (caps.isPipeline && kind != FrameKind::container) {
-            // Pipeline frames are the terminal codec's wire format
-            // wrapping stage-framed bytes. Unwrap the terminal layer,
-            // damage the leading stage header (tag byte or claimed
-            // raw-size varint), and re-wrap — the corruption then
-            // survives a clean terminal decode and must be caught by
-            // the stage inverter's own validation.
-            const codec::CodecVTable &terminal =
-                codec::registry(codec::toCodecId(caps.terminal));
-            Bytes staged;
-            if (terminal.decompressInto(frame, staged).ok() &&
-                !staged.empty()) {
-                std::size_t byte = rng.below(
-                    std::min<std::size_t>(staged.size(), 4));
-                switch (rng.below(3)) {
-                  case 0:
-                    staged[byte] = 0xff;
-                    break;
-                  case 1:
-                    staged[byte] = 0x00;
-                    break;
-                  default:
-                    staged[byte] ^=
-                        static_cast<u8>(1 + rng.below(255));
-                    break;
-                }
-                const codec::CodecParams params = terminal.caps.clamp(
-                    terminal.caps.defaultLevel,
-                    terminal.caps.defaultWindowLog);
-                Bytes rewrapped;
-                if (terminal.compressInto(staged, params, rewrapped)
-                        .ok()) {
-                    out = std::move(rewrapped);
-                    break;
-                }
-            }
-        }
-        // Base codecs (and container frames, whose stage headers live
-        // inside blocks): deterministic leading-byte tamper.
-        std::size_t byte =
-            rng.below(std::min<std::size_t>(out.size(), 8));
-        out[byte] ^= static_cast<u8>(1 + rng.below(255));
+        const std::size_t byte = pick(map.discriminators);
+        if (map.discriminatorValues.empty())
+            out[byte] ^= static_cast<u8>(1 + rng.below(7));
+        else
+            out[byte] = pick(map.discriminatorValues);
         break;
       }
       case MutationClass::splice: {
-        ByteSpan tail_source = donor.empty() ? frame : donor;
-        auto head_offsets =
-            structuralOffsets(spec.codec, kind, frame);
-        auto tail_offsets =
-            structuralOffsets(spec.codec, kind, tail_source);
-        std::size_t head = pickOffset(head_offsets, rng);
-        std::size_t tail = pickOffset(tail_offsets, rng);
-        out.assign(frame.begin(),
-                   frame.begin() + static_cast<std::ptrdiff_t>(head));
+        const ByteSpan tail_source = donor.empty() ? frame : donor;
+        const std::size_t head = pick(map.boundaries);
+        const std::size_t tail = pick(grammar(tail_source).boundaries);
+        out.resize(head);
         out.insert(out.end(),
-                   tail_source.begin() +
-                       static_cast<std::ptrdiff_t>(tail),
+                   tail_source.begin() + static_cast<std::ptrdiff_t>(tail),
                    tail_source.end());
+        break;
+      }
+      case MutationClass::stageHeaderTamper: {
+        if (map.stagedTerminal &&
+            tamperStageHeader(frame, *map.stagedTerminal, rng, out))
+            break;
+        const std::size_t byte =
+            map.header.start + rng.below(map.header.size);
+        out[byte] ^= static_cast<u8>(1 + rng.below(255));
         break;
       }
     }
     return out;
+}
+
+std::vector<std::size_t>
+CorruptionInjector::structuralOffsets(codec::CodecId id, FrameKind kind,
+                                      ByteSpan frame)
+{
+    return mapFrame(id, kind, frame).boundaries;
+}
+
+Bytes
+CorruptionInjector::mutate(ByteSpan frame, const MutationSpec &spec,
+                           FrameKind kind, ByteSpan donor)
+{
+    return mutateFrame(
+        frame,
+        [&](ByteSpan bytes) { return mapFrame(spec.codec, kind, bytes); },
+        spec.cls, mutationSeed(spec), donor);
 }
 
 } // namespace cdpu::harden

@@ -6,23 +6,32 @@
  * attacker-shaped bytes millions of times per second (the paper's
  * Section 3 serving context; Section 5's units must reject malformed
  * input without wedging the pipeline). The injector turns any valid
- * compressed frame into a structured family of invalid-or-damaged
- * neighbours: bit flips, truncation at structural boundaries,
- * length-field/varint tampering, CRC tampering, chunk-type swaps, and
- * splices of two frames. Every mutation is a pure function of the
- * (codec, class, seed) triple — no wall-clock, no global state — so a
- * fuzz failure replays from the triple its report names (DESIGN.md
- * §11).
+ * frame into a structured family of invalid-or-damaged neighbours:
+ * bit flips, truncation at structural boundaries, length-field/varint
+ * tampering, CRC tampering, chunk-type swaps, and splices of two
+ * frames. Every mutation is a pure function of the (codec, class,
+ * seed) triple — no wall-clock, no global state — so a fuzz failure
+ * replays from the triple its report names (DESIGN.md §11).
+ *
+ * One engine serves every grammar: a grammar's walk turns a frame into
+ * a FieldMap, and mutateFrame() implements each class over any map.
  */
 
 #ifndef CDPU_HARDEN_INJECTOR_H_
 #define CDPU_HARDEN_INJECTOR_H_
 
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "codec/codec.h"
 #include "common/types.h"
+
+namespace cdpu::codec
+{
+struct CodecVTable;
+} // namespace cdpu::codec
 
 namespace cdpu::harden
 {
@@ -35,14 +44,14 @@ enum class MutationClass : u8
     truncate,      ///< Cut at (or one byte around) a structural boundary.
     lengthTamper,  ///< Rewrite a length field / varint (zero, huge, ±1).
     crcTamper,     ///< Damage an integrity field (or trailing bytes for
-                   ///< codecs without one).
+                   ///< grammars without one).
     chunkTypeSwap, ///< Rewrite a chunk/block type discriminator.
     splice,        ///< Head of one frame + tail of another, cut at
                    ///< structural boundaries.
     stageHeaderTamper, ///< Pipeline codecs: decode the terminal frame,
                        ///< tamper the leading stage header (tag /
-                       ///< claimed raw size), re-encode. Base codecs:
-                       ///< deterministic leading-byte tamper.
+                       ///< claimed raw size), re-encode. Elsewhere:
+                       ///< tamper a byte of the grammar's header.
 };
 
 inline constexpr std::size_t kNumMutationClasses = 7;
@@ -86,30 +95,74 @@ u64 mutationSeed(const MutationSpec &spec);
  *  report carries. */
 std::string describeSpec(const MutationSpec &spec);
 
+/** Bytes [start, start + size) of a frame. */
+struct FieldRange
+{
+    std::size_t start = 0;
+    std::size_t size = 0;
+};
+
+/**
+ * What one skeleton walk of a frame finds: the fields each
+ * MutationClass aims at. A walk never validates; it stops at the first
+ * byte it cannot skeleton-parse, so damaged frames map too.
+ */
+struct FieldMap
+{
+    /** Offsets where one field or unit ends and the next begins,
+     *  sorted and unique, always holding 0 and frame.size(). truncate
+     *  and splice cut here. */
+    std::vector<std::size_t> boundaries;
+    /** Length fields in grammar order; lengthTamper rewrites one
+     *  (sets a random byte to 0xff when there are none). */
+    std::vector<FieldRange> lengths;
+    /** Integrity fields; crcTamper flips a bit of one (of the last
+     *  four bytes when there are none). */
+    std::vector<FieldRange> checksums;
+    /** Type-discriminator bytes; chunkTypeSwap rewrites one. */
+    std::vector<std::size_t> discriminators;
+    /** Values worth writing into a discriminator; when empty,
+     *  chunkTypeSwap XORs 1..7 into its low bits instead. */
+    std::span<const u8> discriminatorValues;
+    /** The region stageHeaderTamper damages. */
+    FieldRange header;
+    /** Pipeline frames: the terminal codec wrapping the stage-framed
+     *  bytes, through which stageHeaderTamper reaches the stage
+     *  header. */
+    const codec::CodecVTable *stagedTerminal = nullptr;
+};
+
+/** Maps @p frame under @p id's @p kind grammar (pipelines follow
+ *  their terminal codec's; container frames the CDPC index's). */
+FieldMap mapFrame(codec::CodecId id, FrameKind kind, ByteSpan frame);
+
+/** Maps a cdpud request frame (serve/wire.h's RequestField layout). */
+FieldMap mapWireRequest(ByteSpan frame);
+
+/** One grammar's walk. */
+using Grammar = std::function<FieldMap(ByteSpan)>;
+
+/**
+ * The engine: applies @p cls to a copy of @p frame, aimed by
+ * @p grammar's map of it, drawing from an Rng seeded with
+ * @p rng_seed. @p donor feeds splice (mapped by the same grammar);
+ * when empty, splice folds the frame onto itself. Deterministic in
+ * its arguments; the result may equal the input (e.g. an empty
+ * frame), so callers treat "still decodes" as a legal outcome.
+ */
+Bytes mutateFrame(ByteSpan frame, const Grammar &grammar,
+                  MutationClass cls, u64 rng_seed, ByteSpan donor = {});
+
 class CorruptionInjector
 {
   public:
-    /**
-     * Structural boundaries of @p frame under @p kind's grammar:
-     * offsets where one field or unit ends and the next begins
-     * (header/varint ends, chunk and block starts, CRC edges), always
-     * including 0 and frame.size(). The walk is a best-effort skeleton
-     * parse — it never validates, and stops at the first byte it
-     * cannot skeleton-parse — so it accepts frames that are already
-     * damaged. Sorted and deduplicated.
-     */
+    /** mapFrame(id, kind, frame).boundaries. */
     static std::vector<std::size_t> structuralOffsets(codec::CodecId id,
                                                       FrameKind kind,
                                                       ByteSpan frame);
 
-    /**
-     * Applies @p spec's mutation class to @p frame and returns the
-     * mutated copy. @p donor feeds the splice class (ignored by the
-     * others); when empty, splice folds the frame onto itself. The
-     * result is deterministic in (spec, frame, donor) and may
-     * occasionally equal the input (e.g. an empty frame): callers
-     * treat "still decodes" as a legal outcome.
-     */
+    /** mutateFrame over @p spec.codec's @p kind grammar, seeded with
+     *  mutationSeed(@p spec). */
     static Bytes mutate(ByteSpan frame, const MutationSpec &spec,
                         FrameKind kind, ByteSpan donor = {});
 };

@@ -1,21 +1,14 @@
 #include "harden/wire_grammar.h"
 
-#include <algorithm>
-
 #include "common/rng.h"
 
 namespace cdpu::harden
 {
 
-using serve::kRequestHeaderBytes;
 using serve::WireRequest;
 
 namespace
 {
-
-/** Request header field edges (serve/wire.cpp layout). */
-constexpr std::size_t kHeaderEdges[] = {0,  4,  5,  6,  8, 16,
-                                        24, 28, 32, 40, 44};
 
 u64
 wireMutationSeed(MutationClass cls, u64 seed)
@@ -27,162 +20,6 @@ wireMutationSeed(MutationClass cls, u64 seed)
     mixed = mixed * 0x100000001b3ull ^ static_cast<u64>(cls);
     mixed = mixed * 0x100000001b3ull ^ seed;
     return mixed;
-}
-
-void
-flipBits(Bytes &frame, Rng &rng)
-{
-    if (frame.empty())
-        return;
-    const u64 flips = rng.range(1, 8);
-    for (u64 i = 0; i < flips; ++i) {
-        const std::size_t byte = rng.below(frame.size());
-        frame[byte] ^= static_cast<u8>(1u << rng.below(8));
-    }
-}
-
-void
-truncateAtBoundary(Bytes &frame, Rng &rng)
-{
-    auto offsets = wireStructuralOffsets(
-        ByteSpan(frame.data(), frame.size()));
-    std::size_t cut = offsets[rng.below(offsets.size())];
-    // ±1 wobble: off-by-one cuts catch parsers that accept a frame
-    // one byte short of a declared field.
-    if (rng.chance(0.5)) {
-        const u64 wobble = rng.below(3);
-        if (wobble == 1 && cut > 0)
-            --cut;
-        else if (wobble == 2 && cut < frame.size())
-            ++cut;
-    }
-    frame.resize(cut);
-}
-
-void
-putWireU16(Bytes &frame, std::size_t pos, u16 value)
-{
-    frame[pos] = static_cast<u8>(value & 0xff);
-    frame[pos + 1] = static_cast<u8>(value >> 8);
-}
-
-void
-putWireU32(Bytes &frame, std::size_t pos, u32 value)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        frame[pos + static_cast<std::size_t>(shift / 8)] =
-            static_cast<u8>(value >> shift);
-}
-
-void
-tamperLengths(Bytes &frame, Rng &rng)
-{
-    if (frame.size() < kRequestHeaderBytes) {
-        flipBits(frame, rng);
-        return;
-    }
-    const u64 mode = rng.below(4); // zero, huge, +1, -1
-    if (rng.chance(0.5)) {
-        u16 spec_len = static_cast<u16>(frame[6] |
-                                        (static_cast<u16>(frame[7])
-                                         << 8));
-        switch (mode) {
-          case 0: spec_len = 0; break;
-          case 1: spec_len = 0xffff; break;
-          case 2: ++spec_len; break;
-          default: --spec_len; break;
-        }
-        putWireU16(frame, 6, spec_len);
-    } else {
-        u32 payload_len = 0;
-        for (int i = 3; i >= 0; --i)
-            payload_len = (payload_len << 8) |
-                          frame[40 + static_cast<std::size_t>(i)];
-        switch (mode) {
-          case 0: payload_len = 0; break;
-          case 1: payload_len = 0xffffffffu; break;
-          case 2: ++payload_len; break;
-          default: --payload_len; break;
-        }
-        putWireU32(frame, 40, payload_len);
-    }
-}
-
-void
-tamperEdges(Bytes &frame, Rng &rng)
-{
-    // The wire grammar has no CRC; the closest integrity-adjacent
-    // bytes are the magic (frame identity) and the frame tail (the
-    // last payload byte — silently absorbed trailing damage would mean
-    // the parser did not account for every byte).
-    if (frame.empty())
-        return;
-    if (rng.chance(0.5) && frame.size() >= 4) {
-        frame[rng.below(4)] ^= static_cast<u8>(rng.range(1, 255));
-    } else {
-        frame[frame.size() - 1] ^= static_cast<u8>(rng.range(1, 255));
-    }
-}
-
-void
-swapDiscriminators(Bytes &frame, Rng &rng)
-{
-    if (frame.size() < 6) {
-        flipBits(frame, rng);
-        return;
-    }
-    // Version and direction are the layout's type discriminators.
-    const std::size_t pos = rng.chance(0.5) ? 4 : 5;
-    frame[pos] = static_cast<u8>(rng.below(256));
-}
-
-void
-spliceFrames(Bytes &frame, Rng &rng, ByteSpan donor)
-{
-    ByteSpan tail_source =
-        donor.empty() ? ByteSpan(frame.data(), frame.size()) : donor;
-    auto head_offsets =
-        wireStructuralOffsets(ByteSpan(frame.data(), frame.size()));
-    auto tail_offsets = wireStructuralOffsets(tail_source);
-    const std::size_t head_cut =
-        head_offsets[rng.below(head_offsets.size())];
-    const std::size_t tail_cut =
-        tail_offsets[rng.below(tail_offsets.size())];
-    Bytes spliced(frame.begin(),
-                  frame.begin() + static_cast<std::ptrdiff_t>(head_cut));
-    spliced.insert(spliced.end(),
-                   tail_source.begin() +
-                       static_cast<std::ptrdiff_t>(tail_cut),
-                   tail_source.end());
-    frame = std::move(spliced);
-}
-
-void
-tamperSpecRegion(Bytes &frame, Rng &rng)
-{
-    // The stage-header analogue: the codec spec string is the one
-    // variable-layout, grammar-checked region (charset [a-z0-9+_-]).
-    // Drive bytes outside the charset — NUL, uppercase, high bit.
-    if (frame.size() <= kRequestHeaderBytes) {
-        flipBits(frame, rng);
-        return;
-    }
-    const u16 spec_len = static_cast<u16>(
-        frame[6] | (static_cast<u16>(frame[7]) << 8));
-    const std::size_t spec_end =
-        std::min(frame.size(),
-                 kRequestHeaderBytes + static_cast<std::size_t>(
-                                           spec_len));
-    if (spec_end <= kRequestHeaderBytes) {
-        flipBits(frame, rng);
-        return;
-    }
-    const std::size_t pos =
-        kRequestHeaderBytes +
-        rng.below(spec_end - kRequestHeaderBytes);
-    static constexpr u8 kBad[] = {0x00, 'A', 'Z', 0x7f, 0x80, 0xff,
-                                  ' ', '/'};
-    frame[pos] = kBad[rng.below(sizeof kBad)];
 }
 
 /** Deterministic valid request for trial @p seed. */
@@ -211,52 +48,6 @@ buildRequest(Rng &rng, const WireFuzzConfig &config)
 }
 
 } // namespace
-
-std::vector<std::size_t>
-wireStructuralOffsets(ByteSpan frame)
-{
-    std::vector<std::size_t> offsets;
-    for (std::size_t edge : kHeaderEdges)
-        if (edge <= frame.size())
-            offsets.push_back(edge);
-    if (frame.size() >= kRequestHeaderBytes) {
-        const u16 spec_len = static_cast<u16>(
-            frame[6] | (static_cast<u16>(frame[7]) << 8));
-        const std::size_t spec_end =
-            kRequestHeaderBytes + static_cast<std::size_t>(spec_len);
-        if (spec_end <= frame.size())
-            offsets.push_back(spec_end);
-    }
-    offsets.push_back(frame.size());
-    std::sort(offsets.begin(), offsets.end());
-    offsets.erase(std::unique(offsets.begin(), offsets.end()),
-                  offsets.end());
-    return offsets;
-}
-
-Bytes
-mutateWireRequest(ByteSpan frame, MutationClass cls, u64 seed,
-                  ByteSpan donor)
-{
-    Bytes mutated(frame.begin(), frame.end());
-    Rng rng(wireMutationSeed(cls, seed));
-    switch (cls) {
-      case MutationClass::bitFlip: flipBits(mutated, rng); break;
-      case MutationClass::truncate:
-        truncateAtBoundary(mutated, rng);
-        break;
-      case MutationClass::lengthTamper: tamperLengths(mutated, rng); break;
-      case MutationClass::crcTamper: tamperEdges(mutated, rng); break;
-      case MutationClass::chunkTypeSwap:
-        swapDiscriminators(mutated, rng);
-        break;
-      case MutationClass::splice: spliceFrames(mutated, rng, donor); break;
-      case MutationClass::stageHeaderTamper:
-        tamperSpecRegion(mutated, rng);
-        break;
-    }
-    return mutated;
-}
 
 std::string
 WireFuzzReport::summary(const WireFuzzConfig &config) const
@@ -299,10 +90,9 @@ runWireFuzz(const WireFuzzConfig &config)
             continue;
         }
 
-        // 2. Every strict prefix must be rejected: all header-edge
+        // 2. Every strict prefix must be rejected: all field-boundary
         //    cuts plus a bounded sample of interior cuts.
-        std::vector<std::size_t> cuts(std::begin(kHeaderEdges),
-                                      std::end(kHeaderEdges));
+        std::vector<std::size_t> cuts = mapWireRequest(frame).boundaries;
         for (unsigned i = 0; i < 32 && frame.size() > 1; ++i)
             cuts.push_back(rng.below(frame.size()));
         for (std::size_t cut : cuts) {
@@ -331,10 +121,9 @@ runWireFuzz(const WireFuzzConfig &config)
 
         // 3. Every mutation class: reject, or accept canonically.
         for (MutationClass cls : allMutationClasses()) {
-            Bytes mutated = mutateWireRequest(
-                frame_span, cls, seed,
-                ByteSpan(previous_frame.data(),
-                         previous_frame.size()));
+            Bytes mutated = mutateFrame(frame_span, mapWireRequest, cls,
+                                        wireMutationSeed(cls, seed),
+                                        previous_frame);
             ++report.trials;
             Result<WireRequest> outcome =
                 Status::internal("parse did not run");

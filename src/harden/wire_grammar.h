@@ -4,13 +4,13 @@
  *
  * The daemon's framing layer (serve/wire.h) is the first parser that
  * attacker-controlled bytes meet, before any codec runs — so it gets
- * the same treatment the codec frames get from the corruption
- * injector: every MutationClass reinterpreted against the fixed
- * request layout (bit flips anywhere, truncation at field boundaries,
- * length-field tampering of specLen/payloadLen, magic/trailing-byte
- * tampering, version/direction discriminator swaps, splices of two
- * frames, codec-spec charset tampering), each mutation a pure function
- * of (class, seed) so a failure replays from its report line.
+ * the same treatment the codec frames get: the injector's engine
+ * (harden/injector.h) aims every MutationClass by mapWireRequest's
+ * field map of the request layout (bit flips anywhere, truncation at
+ * field boundaries, specBytes/payloadBytes tampering, trailing-byte
+ * damage, magic/version/direction discriminator swaps, splices of two
+ * frames, codec-spec tampering), each mutation a pure function of
+ * (class, seed) so a failure replays from its report line.
  *
  * The contract checked per mutant:
  *  - parseRequest() never throws, never faults, and classifies every
@@ -34,19 +34,6 @@
 
 namespace cdpu::harden
 {
-
-/** Field boundaries of a wire request frame: header field edges, the
- *  header/spec edge, the spec/payload edge, and frame.size(). Sorted,
- *  deduplicated, clamped to the frame. */
-std::vector<std::size_t> wireStructuralOffsets(ByteSpan frame);
-
-/**
- * Applies @p cls reinterpreted for the wire-request layout to
- * @p frame; deterministic in (@p cls, @p seed, @p frame, @p donor).
- * @p donor feeds the splice class (folded onto @p frame when empty).
- */
-Bytes mutateWireRequest(ByteSpan frame, MutationClass cls, u64 seed,
-                        ByteSpan donor = {});
 
 struct WireFuzzConfig
 {

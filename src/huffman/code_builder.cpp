@@ -6,6 +6,27 @@
 namespace cdpu::huffman
 {
 
+void
+packLengths(const std::vector<u8> &lengths, std::size_t count, Bytes &out)
+{
+    for (std::size_t i = 0; i < count; i += 2) {
+        u8 lo = i < lengths.size() ? lengths[i] : 0;
+        u8 hi = i + 1 < lengths.size() ? lengths[i + 1] : 0;
+        out.push_back(static_cast<u8>(lo | (hi << 4)));
+    }
+}
+
+std::vector<u8>
+unpackLengths(ByteSpan packed, std::size_t count)
+{
+    std::vector<u8> lengths(count, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+        u8 byte = packed[i / 2];
+        lengths[i] = (i % 2) ? (byte >> 4) : (byte & 0x0f);
+    }
+    return lengths;
+}
+
 u16
 reverseBits(u16 v, unsigned nbits)
 {

@@ -54,6 +54,19 @@ Result<CodeTable> buildCodeTable(const std::vector<u64> &freqs,
  */
 Result<CodeTable> codesFromLengths(const std::vector<u8> &lengths);
 
+/**
+ * Appends the code lengths of symbols 0..@p count-1 (each <= 15) at
+ * four bits per symbol, two per byte, the even symbol in the low
+ * nibble; symbols past lengths.size() pack as 0. The table form
+ * zstdlite's literals and flatelite's blocks transmit.
+ */
+void packLengths(const std::vector<u8> &lengths, std::size_t count,
+                 Bytes &out);
+
+/** Inverse of packLengths: @p count lengths from the first
+ *  (count + 1) / 2 bytes of @p packed. */
+std::vector<u8> unpackLengths(ByteSpan packed, std::size_t count);
+
 /** Reverses the low @p nbits bits of @p v. */
 u16 reverseBits(u16 v, unsigned nbits);
 

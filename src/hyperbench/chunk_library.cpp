@@ -29,36 +29,34 @@ measureRatio(codec::CodecId codec, ByteSpan chunk, int level)
 } // namespace
 
 ChunkLibrary::ChunkLibrary(const ChunkLibraryConfig &config, Rng &rng)
+    : level_(config.zstdLevel), tables_(codec::allCodecs().size()),
+      rated_(std::make_unique<std::once_flag[]>(tables_.size()))
 {
-    const std::vector<codec::CodecId> codecs = codec::allCodecs();
-    tables_.resize(codecs.size());
     // Fleet classes only: the library models the fleet's library mix,
     // and drawing from the fixed fleet set keeps seeded suites
     // byte-stable as the codec registry grows.
     for (corpus::DataClass cls : corpus::fleetDataClasses()) {
         Bytes buffer = corpus::generate(cls, config.perClassBytes, rng);
-        for (auto &chunk : corpus::chunk(buffer, config.chunkBytes)) {
-            for (codec::CodecId codec : codecs) {
-                RatedChunk rated;
-                rated.ratio = measureRatio(codec, chunk.data,
-                                           config.zstdLevel);
-                rated.data = chunk.data;
-                tables_[static_cast<std::size_t>(codec)].push_back(
-                    std::move(rated));
-            }
-        }
+        for (auto &chunk : corpus::chunk(buffer, config.chunkBytes))
+            chunks_.push_back(std::move(chunk.data));
     }
-    auto by_ratio = [](const RatedChunk &a, const RatedChunk &b) {
-        return a.ratio < b.ratio;
-    };
-    for (auto &table : tables_)
-        std::sort(table.begin(), table.end(), by_ratio);
 }
 
 const std::vector<RatedChunk> &
 ChunkLibrary::table(codec::CodecId codec) const
 {
-    return tables_[static_cast<std::size_t>(codec)];
+    const auto index = static_cast<std::size_t>(codec);
+    std::call_once(rated_[index], [&] {
+        std::vector<RatedChunk> &table = tables_[index];
+        table.reserve(chunks_.size());
+        for (const Bytes &chunk : chunks_)
+            table.push_back({chunk, measureRatio(codec, chunk, level_)});
+        std::sort(table.begin(), table.end(),
+                  [](const RatedChunk &a, const RatedChunk &b) {
+                      return a.ratio < b.ratio;
+                  });
+    });
+    return tables_[index];
 }
 
 std::size_t

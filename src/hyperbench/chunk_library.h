@@ -3,8 +3,8 @@
  * Chunk library: the ratio lookup table at the heart of the paper's
  * HyperCompressBench generator (Section 4).
  *
- * Corpus buffers are split into fixed-size chunks; every chunk is run
- * through all registered codecs (the paper's "all supported
+ * Corpus buffers are split into fixed-size chunks; every chunk can be
+ * run through any registered codec (the paper's "all supported
  * algorithm/parameter pairs") to obtain its compression ratio, and
  * the chunks are indexed by ratio so the greedy assembler can select
  * the chunk closest to a target.
@@ -13,6 +13,8 @@
 #ifndef CDPU_HYPERBENCH_CHUNK_LIBRARY_H_
 #define CDPU_HYPERBENCH_CHUNK_LIBRARY_H_
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "codec/codec.h"
@@ -22,10 +24,11 @@
 namespace cdpu::hcb
 {
 
-/** A chunk with its measured per-codec compression ratio. */
+/** A chunk (a view into the library's store) with its measured
+ *  per-codec compression ratio. */
 struct RatedChunk
 {
-    Bytes data;
+    ByteSpan data;
     double ratio = 1.0;
 };
 
@@ -44,14 +47,17 @@ struct ChunkLibraryConfig
 /**
  * Ratio-sorted chunk store, one table per registered codec.
  *
- * Construction compresses every chunk with every codec, exactly as
- * the paper's generator runs each chunk through all supported
- * algorithm/parameter pairs.
+ * Construction generates and chunks the corpora. A codec's table is
+ * rated, by compressing every chunk with that codec as the paper's
+ * generator does, and sorted the first time table(), ratioRange() or
+ * closestIndex() asks for it; codecs nobody asks for cost nothing.
+ * Rating is thread-safe and deterministic, so the order in which
+ * codecs are first asked for does not change any table.
  */
 class ChunkLibrary
 {
   public:
-    /** Builds the library from the synthetic corpora. */
+    /** Builds the chunk store from the synthetic corpora. */
     ChunkLibrary(const ChunkLibraryConfig &config, Rng &rng);
 
     /** Chunks sorted ascending by ratio under @p codec. */
@@ -64,9 +70,13 @@ class ChunkLibrary
     std::pair<double, double> ratioRange(codec::CodecId codec) const;
 
   private:
+    int level_;
+    std::vector<Bytes> chunks_;
     /** One table per codec registered at construction time, indexed by
-     *  CodecId value. Codecs registered later are not rated. */
-    std::vector<std::vector<RatedChunk>> tables_;
+     *  CodecId value and filled on first use. Codecs registered later
+     *  are not rated. */
+    mutable std::vector<std::vector<RatedChunk>> tables_;
+    std::unique_ptr<std::once_flag[]> rated_;
 };
 
 } // namespace cdpu::hcb

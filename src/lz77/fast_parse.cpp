@@ -22,12 +22,10 @@ inline u32
 hashAt(const u8 *p, unsigned shift)
 {
     if constexpr (kHash == HashFunction::multiplicative) {
-        return (mem::loadU32(p) * 0x1e35a7bdu) >> shift;
+        return multiplicativeHash(p, shift);
     } else {
         static_assert(kHash == HashFunction::fibonacci64);
-        return static_cast<u32>(
-            ((mem::loadU64(p) << 24 >> 24) * 0x9e3779b185ebca87ull) >>
-            shift);
+        return fibonacci64Hash(p, shift);
     }
 }
 

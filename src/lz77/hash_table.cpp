@@ -20,14 +20,6 @@ load32(ByteSpan data, std::size_t pos)
     return v;
 }
 
-u64
-load64(ByteSpan data, std::size_t pos)
-{
-    u64 v;
-    std::memcpy(&v, data.data() + pos, sizeof(v));
-    return v;
-}
-
 } // namespace
 
 MatchHashTable::MatchHashTable(const HashTableConfig &config)
@@ -54,7 +46,7 @@ MatchHashTable::hashAt(ByteSpan data, std::size_t pos) const
     unsigned shift = 32 - config_.log2Entries;
     switch (config_.hashFunction) {
       case HashFunction::multiplicative:
-        return (load32(data, pos) * 0x1e35a7bdu) >> shift;
+        return multiplicativeHash(data.data() + pos, shift);
       case HashFunction::xorShift: {
         u32 x = load32(data, pos);
         x ^= x >> 15;
@@ -62,13 +54,9 @@ MatchHashTable::hashAt(ByteSpan data, std::size_t pos) const
         x ^= x >> 12;
         return x >> shift;
       }
-      case HashFunction::fibonacci64: {
-        // Hash 5 bytes with the 64-bit golden ratio, as zstd does for
-        // its fast match finder.
-        u64 x = load64(data, pos) << 24 >> 24;
-        return static_cast<u32>((x * 0x9e3779b185ebca87ull) >>
-                                (64 - config_.log2Entries));
-      }
+      case HashFunction::fibonacci64:
+        return fibonacci64Hash(data.data() + pos,
+                               64 - config_.log2Entries);
     }
     return 0;
 }
@@ -90,7 +78,8 @@ MatchHashTable::hashRun(ByteSpan data, std::size_t pos,
             mem::kernelStats()
                 .tierHashPositions[kernels::activeTierIndex()] += count;
             kernels::ops().hashMul32Run(data.data() + pos, count,
-                                        0x1e35a7bdu, shift, hashes_out);
+                                        kMultiplicativeHashMul, shift,
+                                        hashes_out);
             return;
           case HashFunction::xorShift:
             mem::kernelStats()

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/mem.h"
 #include "common/types.h"
 
 namespace cdpu::lz77
@@ -26,6 +27,28 @@ enum class HashFunction
     xorShift,       ///< Mix of shifted XORs (cheap in hardware).
     fibonacci64,    ///< 64-bit golden-ratio hash of 5 bytes (ZStd-like).
 };
+
+/** Multiplier of the multiplicative hash. */
+inline constexpr u32 kMultiplicativeHashMul = 0x1e35a7bdu;
+
+/** Multiplicative hash of the 4 bytes at @p p: the top 32 - @p shift
+ *  bits of the 32-bit product. Shared by MatchHashTable and
+ *  lz77::fastParse, whose parses must agree. */
+inline u32
+multiplicativeHash(const u8 *p, unsigned shift)
+{
+    return (mem::loadU32(p) * kMultiplicativeHashMul) >> shift;
+}
+
+/** fibonacci64 hash of the 5 bytes at @p p with the 64-bit golden
+ *  ratio, as zstd's fast match finder does: the top 64 - @p shift bits
+ *  of the product. Reads 8 bytes. */
+inline u32
+fibonacci64Hash(const u8 *p, unsigned shift)
+{
+    return static_cast<u32>(
+        ((mem::loadU64(p) << 24 >> 24) * 0x9e3779b185ebca87ull) >> shift);
+}
 
 /** Configuration for a match-finder hash table. */
 struct HashTableConfig

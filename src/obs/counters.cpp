@@ -122,6 +122,41 @@ HistogramSnapshot::toJson() const
     return out;
 }
 
+Status
+HistogramSnapshot::validate() const
+{
+    return validate(toJson());
+}
+
+Status
+HistogramSnapshot::validate(const JsonValue &published)
+{
+    u64 total = 0;
+    for (const auto &[bucket, samples] : published.at("buckets").members())
+        total += samples.asU64();
+    const u64 count = published.at("count").asU64();
+    if (total != count)
+        return Status::corrupt("buckets sum to " + std::to_string(total) +
+                               ", count is " + std::to_string(count));
+    // Each quantile must reach the one before it (min first) and stay
+    // within max.
+    std::string previous = "min";
+    double floor = published.at("min").asDouble();
+    const double max = published.at("max").asDouble();
+    for (const char *name : {"p50", "p90", "p99", "p999"}) {
+        const double value = published.at(name).asDouble();
+        auto text = [](double v) { return JsonValue(v).dump(); };
+        if (value < floor || value > max)
+            return Status::corrupt(
+                std::string(name) + " " + text(value) +
+                (value > max ? " above max " + text(max)
+                             : " below " + previous + " " + text(floor)));
+        previous = name;
+        floor = value;
+    }
+    return Status::okStatus();
+}
+
 u64
 CounterSnapshot::at(const std::string &name) const
 {

@@ -76,6 +76,17 @@ struct HistogramSnapshot
     void merge(const HistogramSnapshot &other);
 
     JsonValue toJson() const;
+
+    /**
+     * Checks the invariants every published histogram holds: bucket
+     * counts sum to count, and p50 <= p90 <= p99 <= p999, each inside
+     * [min, max]. Checks this snapshot as toJson() publishes it.
+     */
+    Status validate() const;
+
+    /** validate() for a published histogram: an object with toJson()'s
+     *  keys, as bench records and telemetry documents carry it. */
+    static Status validate(const JsonValue &published);
 };
 
 /** Log2-bucketed value histogram (latencies, sizes, occupancies). */

@@ -149,26 +149,29 @@ parseRequestHeader(ByteSpan header, const WireLimits &limits)
                                std::to_string(header.size()) +
                                " bytes, need " +
                                std::to_string(kRequestHeaderBytes));
-    if (std::memcmp(header.data(), kRequestMagic,
+    if (std::memcmp(header.data() + RequestField::magic, kRequestMagic,
                     sizeof kRequestMagic) != 0)
         return Status::corrupt("bad wire request magic");
-    if (header[4] != kWireVersion)
+    const u8 version = header[RequestField::version];
+    if (version != kWireVersion)
         return Status::corrupt("unsupported wire version " +
-                               std::to_string(header[4]));
-    if (header[5] > 1)
+                               std::to_string(version));
+    const u8 direction = header[RequestField::direction];
+    if (direction > 1)
         return Status::corrupt("bad direction byte " +
-                               std::to_string(header[5]));
+                               std::to_string(direction));
 
     RequestHeader parsed;
-    parsed.direction = header[5] == 0 ? codec::Direction::compress
+    parsed.direction = direction == 0 ? codec::Direction::compress
                                       : codec::Direction::decompress;
-    parsed.specBytes = getU16(header, 6);
-    parsed.requestId = getU64(header, 8);
-    parsed.tenantId = getU64(header, 16);
-    parsed.level = static_cast<i32>(getU32(header, 24));
-    parsed.windowLog = getU32(header, 28);
-    parsed.deadlineNs = getU64(header, 32);
-    parsed.payloadBytes = getU32(header, 40);
+    parsed.specBytes = getU16(header, RequestField::specBytes);
+    parsed.requestId = getU64(header, RequestField::requestId);
+    parsed.tenantId = getU64(header, RequestField::tenantId);
+    parsed.level =
+        static_cast<i32>(getU32(header, RequestField::level));
+    parsed.windowLog = getU32(header, RequestField::windowLog);
+    parsed.deadlineNs = getU64(header, RequestField::deadlineNs);
+    parsed.payloadBytes = getU32(header, RequestField::payloadBytes);
 
     if (parsed.specBytes == 0)
         return Status::corrupt("empty codec spec");

@@ -46,9 +46,29 @@ inline constexpr u8 kResponseMagic[4] = {'C', 'D', 'P', 'R'};
  *  negotiation. */
 inline constexpr u8 kWireVersion = 1;
 
-/** Fixed request header size (magic..payloadLen, before the variable
- *  spec/payload tail). */
-inline constexpr std::size_t kRequestHeaderBytes = 44;
+/**
+ * Byte offset of each fixed request-header field, little-endian. The
+ * layout is named here once: parseRequestHeader reads the fields by
+ * these names, and the harden wire grammar aims its mutations by them.
+ */
+struct RequestField
+{
+    static constexpr std::size_t magic = 0;         ///< kRequestMagic.
+    static constexpr std::size_t version = 4;       ///< u8 kWireVersion.
+    static constexpr std::size_t direction = 5;     ///< u8: 0 compress.
+    static constexpr std::size_t specBytes = 6;     ///< u16.
+    static constexpr std::size_t requestId = 8;     ///< u64.
+    static constexpr std::size_t tenantId = 16;     ///< u64.
+    static constexpr std::size_t level = 24;        ///< i32.
+    static constexpr std::size_t windowLog = 28;    ///< u32.
+    static constexpr std::size_t deadlineNs = 32;   ///< u64.
+    static constexpr std::size_t payloadBytes = 40; ///< u32.
+};
+
+/** Fixed request header size (magic..payloadBytes, before the
+ *  variable spec/payload tail). */
+inline constexpr std::size_t kRequestHeaderBytes =
+    RequestField::payloadBytes + 4;
 /** Fixed response header size. */
 inline constexpr std::size_t kResponseHeaderBytes = 28;
 

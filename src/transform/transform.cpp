@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <numeric>
 
 #include "common/varint.h"
@@ -195,14 +196,33 @@ mtfApply(ByteSpan input, Bytes &out)
 void
 mtfInvert(ByteSpan body, Bytes &out)
 {
+    // The list's first eight entries live in a register (byte i of
+    // `front` is entry i), so the small indices that dominate BWT
+    // output move to front with shifts and masks rather than a memmove
+    // whose stores the next lookup would wait on. `table` holds
+    // entries 8..255.
     std::array<u8, 256> table;
     std::iota(table.begin(), table.end(), 0);
-    for (u8 index : body) {
-        u8 byte = table[index];
-        out.push_back(byte);
-        std::copy_backward(table.begin(), table.begin() + index,
-                           table.begin() + index + 1);
-        table[0] = byte;
+    u64 front = 0x0706050403020100ull;
+    const std::size_t base = out.size();
+    out.resize(base + body.size());
+    u8 *dst = out.data() + base;
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        const unsigned index = body[i];
+        u8 byte;
+        if (index < 8) {
+            const unsigned shift = 8 * index;
+            byte = static_cast<u8>(front >> shift);
+            const u64 below = (u64{1} << shift) - 1; // Entries 0..index-1.
+            front = (front & ~(below << 8 | 0xff)) | (front & below) << 8 |
+                    byte;
+        } else {
+            byte = table[index];
+            std::memmove(&table[9], &table[8], index - 8);
+            table[8] = static_cast<u8>(front >> 56);
+            front = front << 8 | byte;
+        }
+        dst[i] = byte;
     }
 }
 

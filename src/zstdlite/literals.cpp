@@ -12,30 +12,9 @@ namespace cdpu::zstdlite
 namespace
 {
 
-/** Packed 4-bit-per-symbol code length table: 256 symbols, 128 bytes. */
-constexpr std::size_t kLengthTableBytes = 128;
-
-void
-packLengths(const std::vector<u8> &lengths, Bytes &out)
-{
-    for (std::size_t i = 0; i < 256; i += 2) {
-        u8 lo = i < lengths.size() ? lengths[i] : 0;
-        u8 hi = i + 1 < lengths.size() ? lengths[i + 1] : 0;
-        out.push_back(static_cast<u8>(lo | (hi << 4)));
-    }
-}
-
-std::vector<u8>
-unpackLengths(ByteSpan packed)
-{
-    std::vector<u8> lengths(256);
-    for (std::size_t i = 0; i < 256; i += 2) {
-        u8 byte = packed[i / 2];
-        lengths[i] = byte & 0x0f;
-        lengths[i + 1] = byte >> 4;
-    }
-    return lengths;
-}
+/** Literal alphabet size; its 4-bit code lengths pack into 128 bytes. */
+constexpr std::size_t kLiteralSymbols = 256;
+constexpr std::size_t kLengthTableBytes = kLiteralSymbols / 2;
 
 } // namespace
 
@@ -79,7 +58,8 @@ encodeLiteralsSection(ByteSpan literals, Bytes &out,
                                      varintSize(stream_bytes);
             if (huff_total < literals.size()) {
                 emit_header(LiteralsMode::huffman);
-                packLengths(table.value().lengths, out);
+                huffman::packLengths(table.value().lengths, kLiteralSymbols,
+                                     out);
                 putVarint(out, stream_bytes);
                 BitWriter writer;
                 // Cannot fail: the table was built over these literals.
@@ -138,7 +118,8 @@ decodeLiteralsSection(ByteSpan data, std::size_t &pos,
         if (pos + kLengthTableBytes > data.size())
             return Status::corrupt("huffman table truncated");
         auto lengths =
-            unpackLengths(data.subspan(pos, kLengthTableBytes));
+            huffman::unpackLengths(data.subspan(pos, kLengthTableBytes),
+                                   kLiteralSymbols);
         pos += kLengthTableBytes;
         auto table = huffman::codesFromLengths(lengths);
         if (!table.ok())

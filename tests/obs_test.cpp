@@ -363,16 +363,15 @@ TEST(HistogramTest, PercentileOfEmptyAndSingle)
     EXPECT_DOUBLE_EQ(histogram.snapshot().percentile(0.99), 77.0);
 }
 
-/** The invariants every published percentile relies on: bucket counts
- *  sum to count, and percentile never decreases on a 1,001-point q grid
- *  and stays inside [min, max]. */
+/** The invariants every published percentile relies on: validate()'s
+ *  (bucket counts sum to count; p50..p999 monotone inside [min, max]),
+ *  and percentile never decreasing on a 1,001-point q grid. */
 void
 expectWellFormed(const HistogramSnapshot &snapshot, u64 trial)
 {
-    u64 total = 0;
-    for (u64 bucket : snapshot.buckets)
-        total += bucket;
-    ASSERT_EQ(total, snapshot.count) << "trial " << trial;
+    const Status valid = snapshot.validate();
+    ASSERT_TRUE(valid.ok()) << "trial " << trial << ": "
+                            << valid.toString();
     double previous = snapshot.percentile(0.0);
     for (int step = 0; step <= 1000; ++step) {
         const double q = step / 1000.0;
@@ -413,6 +412,34 @@ TEST(HistogramTest, RandomHistogramsKeepPercentilesMonotoneAndBounded)
         expectWellFormed(merged.diff(first), trial);
         if (HasFatalFailure())
             return;
+    }
+}
+
+TEST(HistogramTest, ValidateRejectsHandBrokenPublishedHistograms)
+{
+    Histogram histogram;
+    for (u64 v = 1; v <= 1000; ++v)
+        histogram.record(v);
+    const JsonValue good = histogram.snapshot().toJson();
+    ASSERT_TRUE(HistogramSnapshot::validate(good).ok());
+
+    // Each edit breaks one invariant of an otherwise valid document.
+    const std::pair<const char *, const char *> edits[] = {
+        {"\"p99\": 990", "\"p99\": 10"},     // p99 below p90.
+        {"\"p999\": 999", "\"p999\": 5000"}, // p999 above max.
+        {"\"count\": 1000", "\"count\": 999"}, // buckets overcount.
+    };
+    const std::string text = good.dump(1);
+    for (const auto &[from, to] : edits) {
+        std::string broken = text;
+        const std::size_t at = broken.find(from);
+        ASSERT_NE(at, std::string::npos) << from << " in " << text;
+        broken.replace(at, std::string(from).size(), to);
+        auto parsed = JsonValue::parse(broken);
+        ASSERT_TRUE(parsed.ok());
+        EXPECT_EQ(HistogramSnapshot::validate(parsed.value()).code(),
+                  StatusCode::corruptData)
+            << to;
     }
 }
 

@@ -147,6 +147,23 @@ referenceMtf(ByteSpan input)
     return out;
 }
 
+/** The push_back and shift-per-byte loop: the oracle for mtfInvert. */
+Bytes
+referenceMtfInvert(ByteSpan body)
+{
+    std::array<u8, 256> table;
+    std::iota(table.begin(), table.end(), 0);
+    Bytes out;
+    for (u8 index : body) {
+        u8 byte = table[index];
+        out.push_back(byte);
+        std::copy_backward(table.begin(), table.begin() + index,
+                           table.begin() + index + 1);
+        table[0] = byte;
+    }
+    return out;
+}
+
 /** The prefix-doubling rotation sort with two `% n` per element per
  *  round: the oracle for bwtForward, ties and primary index included.
  *  Appends [varint len][varint primary][last column]. */
@@ -250,6 +267,29 @@ TEST(TransformFastApplyTest, BwtAndMtfEqualTheReplacedLoops)
             if (payload.checks(k))
                 expectApplyEqualsReference(stages[k], payload.bytes,
                                            payload.what);
+        }
+    });
+}
+
+TEST(TransformFastApplyTest, MtfInvertEqualsTheReplacedLoop)
+{
+    // Any byte string is an index stream: each payload's own bytes
+    // reach every index, and its MTF output is the small-index stream
+    // the stage really decodes.
+    battery::forEachPayload([&](const battery::Payload &payload) {
+        Bytes encoded;
+        ASSERT_TRUE(apply(StageId::mtf, payload.bytes, encoded).ok());
+        const Bytes mtf_output(encoded.end() - static_cast<std::ptrdiff_t>(
+                                                   payload.bytes.size()),
+                               encoded.end());
+        for (const Bytes *indices : {&mtf_output, &payload.bytes}) {
+            Bytes frame{static_cast<u8>(0xA0 | static_cast<u8>(StageId::mtf))};
+            putVarint(frame, indices->size());
+            frame.insert(frame.end(), indices->begin(), indices->end());
+            Bytes decoded;
+            ASSERT_TRUE(invert(StageId::mtf, frame, decoded).ok());
+            EXPECT_TRUE(decoded == referenceMtfInvert(*indices))
+                << payload.what;
         }
     });
 }
