@@ -338,11 +338,13 @@ BENCHMARK(BM_FseDecode);
 
 // --- Tier-pinned decode benchmarks -----------------------------------
 //
-// One decode benchmark per (kernel, tier) pair, with the tier forced
-// inside the timed function: BM_TierDecode/<kernel>/<class>/<tier>.
-// Comparing the <tier> rows of one <kernel>/<class> group gives the
-// honest SIMD-vs-scalar speedup on identical inputs; the per-tier
-// kernel counters attached below prove the vector path actually ran.
+// One decode benchmark per (codec, class, tier), with the tier forced
+// inside the timed function: BM_TierDecode/<codec>/<class>/<tier>.
+// The tier picks mem::wildCopy's store width (and the CRC-32C loop,
+// which raw decodes do not run). Comparing the <tier> rows of one
+// <codec>/<class> group gives the honest SIMD-vs-scalar speedup on
+// identical inputs; the per-tier counters attached below prove the
+// wide stores actually ran.
 
 /** Attaches the per-tier attribution counters accumulated across the
  *  timed loop, proving which tier's kernels executed. */
@@ -362,10 +364,6 @@ attachTierCounters(benchmark::State &state, kernels::Tier tier,
         now.tierWildCopyBytes[t], before.tierWildCopyBytes[t]);
     state.counters["tier_crc32c_bytes"] =
         per_iter(now.tierCrc32cBytes[t], before.tierCrc32cBytes[t]);
-    state.counters["tier_hash_positions"] = per_iter(
-        now.tierHashPositions[t], before.tierHashPositions[t]);
-    state.counters["tier_huffman_symbols"] =
-        per_iter(now.tierHuffSymbols[t], before.tierHuffSymbols[t]);
 }
 
 /** Restores the entry tier when the benchmark body ends. */
@@ -420,29 +418,6 @@ runZstdLiteDecompressAtTier(benchmark::State &state,
 }
 
 void
-runHuffmanDecodeAtTier(benchmark::State &state, kernels::Tier tier)
-{
-    BenchTierGuard guard(tier);
-    Bytes data = makeData(0, 128 * kKiB);
-    auto table =
-        huffman::buildCodeTable(huffman::countFrequencies(data))
-            .value();
-    auto decoder = huffman::Decoder::build(table).value();
-    BitWriter writer;
-    (void)huffman::encode(table, data, writer);
-    Bytes stream = writer.finish();
-    mem::KernelStats before = mem::kernelStats();
-    for (auto _ : state) {
-        BitReader reader(stream);
-        Bytes out;
-        (void)decoder.decode(reader, data.size(), out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    setThroughput(state, data.size());
-    attachTierCounters(state, tier, before);
-}
-
-void
 registerTierBenchmarks()
 {
     auto classes = corpus::allDataClasses();
@@ -458,9 +433,9 @@ registerTierBenchmarks()
                                               static_cast<int>(cls));
                 });
         }
-        // ZstdLite exercises wild copies + the fused Huffman literal
-        // decode; text and log are the compressible classes the CI
-        // speedup guard watches.
+        // ZstdLite replays its matches through wild copies too; text
+        // and log are the compressible classes the CI speedup guard
+        // watches.
         for (int cls : {0, 1}) {
             std::string cls_name = corpus::dataClassName(classes[cls]);
             benchmark::RegisterBenchmark(
@@ -470,11 +445,6 @@ registerTierBenchmarks()
                     runZstdLiteDecompressAtTier(state, tier, cls);
                 });
         }
-        benchmark::RegisterBenchmark(
-            ("BM_TierDecode/huffman/text/" + suffix).c_str(),
-            [tier](benchmark::State &state) {
-                runHuffmanDecodeAtTier(state, tier);
-            });
     }
 }
 

@@ -408,6 +408,10 @@ runSweep(const char *title, unsigned probe_threads,
             json.set(key, us);
             row.push_back(TablePrinter::num(us, 1));
         }
+        // The whole histogram too, so obsctl can validate what the flat
+        // percentiles above were read from.
+        if (point.latency.count != 0)
+            json.set("latency_ns", point.latency.toJson());
         row.push_back(bound ? "core" : "");
         table.addRow(std::move(row));
         sweep.push(std::move(json));

@@ -54,6 +54,7 @@
 #include "common/kernels.h"
 #include "container/container.h"
 #include "corpus/generators.h"
+#include "obs/slo.h"
 #include "serve/client.h"
 #include "serve/codec_context.h"
 #include "serve/daemon.h"

@@ -9,13 +9,14 @@ namespace cdpu
 u32
 crc32cUpdate(u32 crc, ByteSpan data)
 {
-    // The tier kernels operate on the raw reflected state; the ~crc
+    // The tier's loop operates on the raw reflected state; the ~crc
     // conditioning stays here so every tier computes the identical
     // public function (SSE4.2's crc32 instruction implements exactly
     // this byte-table recurrence in hardware).
-    mem::KernelStats &stats = mem::kernelStats();
-    stats.tierCrc32cBytes[kernels::activeTierIndex()] += data.size();
-    return ~kernels::ops().crc32cUpdate(~crc, data.data(), data.size());
+    mem::kernelStats().tierCrc32cBytes[kernels::activeTierIndex()] +=
+        data.size();
+    return ~kernels::detail::activeCrc32cUpdate(~crc, data.data(),
+                                                data.size());
 }
 
 u32

@@ -1,30 +1,30 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernel tier behind the codec hot paths.
+ * Runtime-selected SIMD kernel tier.
  *
- * The scalar kernels in common/mem.h are the portable ceiling; the next
- * constant factor is vector width. This layer selects one Tier at
- * startup from CPUID feature detection (overridable with the
- * CDPU_KERNEL_TIER environment variable, or programmatically via
- * setActiveTier for tests and the --kernel-tier bench flag) and routes
- * the width-sensitive kernels through a per-tier dispatch table so call
- * sites stay tier-agnostic.
+ * A tier chooses exactly two things: the store width mem::wildCopy
+ * rounds a copy up to (8, 16 or 32 bytes), and the CRC-32C loop (the
+ * SSE4.2 crc32 instruction, or a byte table). Every other path runs
+ * the same code at every tier. One Tier is selected at startup from
+ * CPUID feature detection, overridable with the CDPU_KERNEL_TIER
+ * environment variable or programmatically via setActiveTier (tests,
+ * the --kernel-tier bench flag).
  *
- * Tier invariance is a hard contract: every kernel computes the exact
- * same function at every tier — byte-identical copies inside the
- * nominal range, bit-identical hashes and CRCs — so compressed output,
+ * Tier invariance is a hard contract: both tier-selected kernels
+ * compute the same function at every tier — byte-identical copies
+ * inside the nominal range, bit-identical CRCs — so compressed output,
  * decoded output, and every codec-level work counter are independent
  * of the tier that produced them. Only the per-tier attribution
  * counters (mem::KernelStats tier arrays, exported as
- * kernel.<name>.<tier>) reveal which tier did the moving. The fuzz
+ * kernel.<name>.<tier>) reveal which tier did the moving. The decode
  * batteries pin this: they replay the same streams under every
  * available tier and compare bytes.
  *
- * Dispatch is one global pointer to a const ops table. It is
- * constant-initialized to the scalar table (safe before any dynamic
- * initializer runs) and upgraded once at static-init time; switching
- * tiers afterwards (tests, benches) is not thread-safe and must happen
- * while no codec calls are in flight.
+ * The selection lives in plain globals, constant-initialized to the
+ * scalar tier (safe before any dynamic initializer runs) and upgraded
+ * once at static-init time; switching tiers afterwards (tests, benches)
+ * is not thread-safe and must happen while no codec calls are in
+ * flight.
  */
 
 #ifndef CDPU_COMMON_KERNELS_H_
@@ -42,10 +42,10 @@ namespace cdpu::kernels
 /** Kernel implementation tiers, ordered by vector width. */
 enum class Tier : unsigned
 {
-    scalar = 0, ///< Portable word-wide kernels (8-byte chunks).
-    sse42 = 1,  ///< 16-byte lanes + hardware CRC32C (x86 SSE4.2).
-    avx2 = 2,   ///< 32-byte lanes, 8-wide hashing (x86 AVX2).
-    neon = 3,   ///< 16-byte lanes (AArch64; guarded at compile time).
+    scalar = 0, ///< 8-byte stores, byte-table CRC32C.
+    sse42 = 1,  ///< 16-byte stores + hardware CRC32C (x86 SSE4.2).
+    avx2 = 2,   ///< 32-byte stores + hardware CRC32C (x86 AVX2).
+    neon = 3,   ///< 16-byte stores (AArch64; guarded at compile time).
 };
 
 inline constexpr unsigned kNumTiers = 4;
@@ -67,7 +67,7 @@ Tier detectedTier();
  *  supported SIMD tier in ascending width order. */
 std::vector<Tier> availableTiers();
 
-/** The tier the dispatch table currently routes to. */
+/** The tier currently selected. */
 Tier activeTier();
 
 /** activeTier() as an array index into the KernelStats tier arrays.
@@ -75,8 +75,8 @@ Tier activeTier();
 unsigned activeTierIndex();
 
 /**
- * Repoints the dispatch table at @p tier. invalidArgument if the host
- * cannot run it. NOT thread-safe: call at startup or between
+ * Selects @p tier's store width and CRC loop. invalidArgument if the
+ * host cannot run it. NOT thread-safe: call at startup or between
  * single-threaded test phases, never with codec calls in flight.
  */
 Status setActiveTier(Tier tier);
@@ -88,40 +88,8 @@ Status applyTierOverride(const std::string &name);
  *  "x86-64 sse4.2=1 avx2=1 detected=avx2". */
 std::string cpuFeatureSummary();
 
-/**
- * Per-tier kernel entry points. All pointers are always valid; a tier
- * that has no specialized implementation for a kernel aliases the next
- * lower tier's (ultimately the scalar) implementation.
- */
-struct KernelOps
-{
-    /**
-     * CRC-32C update over the RAW (pre-inverted) reflected state —
-     * callers own the ~crc conditioning at both ends. Identical
-     * function at every tier; SSE4.2 uses the crc32 instruction.
-     */
-    u32 (*crc32cUpdate)(u32 crc, const u8 *p, std::size_t n);
-
-    /**
-     * out[i] = (loadU32(p + i) * mul) >> shift for i in [0, count):
-     * the multiplicative match-finder hash over consecutive positions.
-     * May read up to 15 bytes past p + count + 3; callers guard.
-     * @pre 1 <= shift <= 31.
-     */
-    void (*hashMul32Run)(const u8 *p, std::size_t count, u32 mul,
-                         unsigned shift, u32 *out);
-
-    /**
-     * Same contract for the xor-shift hash: x = loadU32(p + i);
-     * x ^= x >> 15; x *= mul; x ^= x >> 12; out[i] = x >> shift.
-     */
-    void (*hashXorShiftRun)(const u8 *p, std::size_t count, u32 mul,
-                            unsigned shift, u32 *out);
-};
-
 namespace detail
 {
-extern const KernelOps *activeOps;
 extern unsigned activeTierIdx;
 /** storeWidth(activeTier()), mirrored here so mem::wildCopy can inline
  *  its chunk loop without an indirect call (the per-copy call overhead
@@ -129,14 +97,10 @@ extern unsigned activeTierIdx;
  *  dominate LZ decode). 16/32-byte chunks need no special ISA — plain
  *  std::memcpy blocks compile to unaligned vector moves. */
 extern unsigned activeChunkWidth;
+/** The active tier's CRC-32C update over the RAW (pre-inverted)
+ *  reflected state; crc32cUpdate() owns the ~crc conditioning. */
+extern u32 (*activeCrc32cUpdate)(u32 crc, const u8 *p, std::size_t n);
 } // namespace detail
-
-/** The active tier's dispatch table. */
-inline const KernelOps &
-ops()
-{
-    return *detail::activeOps;
-}
 
 inline unsigned
 activeTierIndex()

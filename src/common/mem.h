@@ -102,7 +102,9 @@ struct KernelStats
     /** Per-tier attribution, indexed by kernels::activeTierIndex().
      *  The totals above stay tier-invariant (they count work the codec
      *  asked for); these arrays record which tier executed it, proving
-     *  in exported counters that a vector path actually ran. */
+     *  in exported counters that a vector path actually ran. Hashed
+     *  positions and Huffman symbols are always counted at index 0:
+     *  the same scalar code does that work at every tier. */
     u64 tierWildCopyBytes[kernels::kNumTiers] = {};
     u64 tierCrc32cBytes[kernels::kNumTiers] = {};
     u64 tierHashPositions[kernels::kNumTiers] = {};
@@ -205,8 +207,8 @@ wildCopy(u8 *dst, const u8 *src, std::size_t n)
     stats.wildCopyBytes += n;
     stats.tierWildCopyBytes[kernels::activeTierIndex()] += n;
     // Inline chunk loops keyed on the active tier's store width rather
-    // than an indirect call through the dispatch table: most copies are
-    // a handful of bytes, where call overhead would eat the vector win.
+    // than an indirect call: most copies are a handful of bytes, where
+    // call overhead would eat the vector win.
     // The fixed-size memcpy blocks compile to unaligned vector moves at
     // the baseline ISA. Chunk width is clamped to the forward overlap
     // distance (src > dst wraps to a huge value), which makes every

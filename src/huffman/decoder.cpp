@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/kernels.h"
 #include "common/mem.h"
 
 namespace cdpu::huffman
@@ -82,25 +81,23 @@ Decoder::decode(BitReader &reader, std::size_t count, Bytes &out) const
     // Lookups run on zero-padded bits near the stream end; the cursor
     // check after the last window rejects any symbol that crossed it.
     // Both failure modes (no code, or a code past the end) are the ones
-    // the per-symbol reference reports, so verdicts match it exactly.
+    // a per-symbol decode reports, so verdicts match it exactly.
     //
-    // SIMD tiers emit two symbols per lookup where the pair table
-    // fused them; the scalar tier keeps one symbol per lookup, the
-    // reference the cross-tier batteries compare against.
-    if (kernels::activeTier() != kernels::Tier::scalar) {
-        while (valid && i + 2 * per_window <= count) {
-            const u64 window = bitWindow(stream.data(), stream.size(), pos);
-            unsigned used = 0;
-            for (unsigned k = 0; k < per_window; ++k) {
-                const PairEntry &pair = pairs[(window >> used) & mask];
-                valid &= pair.count != 0;
-                dst[i] = pair.sym0;
-                dst[i + 1] = pair.sym1;
-                i += pair.count;
-                used += pair.bits;
-            }
-            pos += used;
+    // The pair table emits two symbols per lookup where it fused them;
+    // the one-symbol loop below finishes the tail, where a full window
+    // of pairs could run past count.
+    while (valid && i + 2 * per_window <= count) {
+        const u64 window = bitWindow(stream.data(), stream.size(), pos);
+        unsigned used = 0;
+        for (unsigned k = 0; k < per_window; ++k) {
+            const PairEntry &pair = pairs[(window >> used) & mask];
+            valid &= pair.count != 0;
+            dst[i] = pair.sym0;
+            dst[i + 1] = pair.sym1;
+            i += pair.count;
+            used += pair.bits;
         }
+        pos += used;
     }
     while (valid && i < count) {
         const u64 window = bitWindow(stream.data(), stream.size(), pos);
@@ -120,8 +117,8 @@ Decoder::decode(BitReader &reader, std::size_t count, Bytes &out) const
                                      : "invalid huffman code");
     }
     reader.seek(pos);
-    mem::kernelStats()
-        .tierHuffSymbols[kernels::activeTierIndex()] += count;
+    // The same loops run at every tier: counted as scalar work.
+    mem::kernelStats().tierHuffSymbols[0] += count;
     return Status::okStatus();
 }
 

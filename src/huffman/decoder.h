@@ -49,9 +49,9 @@ class Decoder
      * Precomputed two-symbol decode step for one maxBits window: the
      * first code plus, when the following code also fits entirely
      * inside the same window, the second. count == 2 entries let the
-     * hot loop emit two symbols per peek/advance; count <= 1 windows
-     * (long codes, invalid prefixes) fall back to the single-symbol
-     * step, which keeps error verdicts identical to the scalar path.
+     * hot loop emit two symbols per lookup; count == 1 windows emit
+     * the first alone, and count == 0 marks an invalid prefix, so a
+     * decode fails on the same streams a per-symbol decode does.
      */
     struct PairEntry
     {

@@ -40,6 +40,21 @@ multiplicativeHash(const u8 *p, unsigned shift)
     return (mem::loadU32(p) * kMultiplicativeHashMul) >> shift;
 }
 
+/** Multiplier of the xor-shift hash. */
+inline constexpr u32 kXorShiftHashMul = 0x2c1b3c6du;
+
+/** xor-shift hash of the 4 bytes at @p p: fold the high half down,
+ *  multiply, fold again, and keep the top 32 - @p shift bits. */
+inline u32
+xorShiftHash(const u8 *p, unsigned shift)
+{
+    u32 x = mem::loadU32(p);
+    x ^= x >> 15;
+    x *= kXorShiftHashMul;
+    x ^= x >> 12;
+    return x >> shift;
+}
+
 /** fibonacci64 hash of the 5 bytes at @p p with the 64-bit golden
  *  ratio, as zstd's fast match finder does: the top 64 - @p shift bits
  *  of the product. Reads 8 bytes. */
@@ -82,30 +97,11 @@ class MatchHashTable
     void lookupAndInsert(ByteSpan data, std::size_t pos,
                          std::vector<u32> &candidates_out);
 
-    /** lookupAndInsert with a precomputed hashAt(data, pos) value —
-     *  the entry point for callers that batch-hash positions through
-     *  hashRun() ahead of the probe loop. */
-    void lookupAndInsertHashed(u32 hash, std::size_t pos,
-                               std::vector<u32> &candidates_out);
-
     /** Records @p pos without collecting candidates (used when skipping). */
     void insert(ByteSpan data, std::size_t pos);
 
     /** Hash of the minMatch-byte prefix at @p pos (exposed for tests). */
     u32 hashAt(ByteSpan data, std::size_t pos) const;
-
-    /**
-     * Hashes @p count consecutive positions starting at @p pos into
-     * @p hashes_out; hashes_out[i] == hashAt(data, pos + i) exactly,
-     * at every kernel tier. Uses the active tier's multi-lane kernel
-     * when the hash function has one and the buffer leaves it enough
-     * read slack — a condition of buffer geometry alone, never of the
-     * tier, so the scalar fallback fires identically everywhere.
-     * @pre pos + count + minMatch bytes - 1 positions are hashable
-     *      (the caller's hash_limit already guarantees this).
-     */
-    void hashRun(ByteSpan data, std::size_t pos, std::size_t count,
-                 u32 *hashes_out) const;
 
     const HashTableConfig &config() const { return config_; }
 

@@ -58,36 +58,11 @@ MatchFinder::matchLengthAt(ByteSpan input, std::size_t a, std::size_t b,
                                 limit));
 }
 
-u32
-MatchFinder::hashFor(ByteSpan input, std::size_t pos,
-                     std::size_t hash_limit)
-{
-    if (pos >= hashBase_ && pos < hashBase_ + hashCount_)
-        return hashBuf_[pos - hashBase_];
-    // A miss exactly at the cache end means the scan is sequential:
-    // batch the next kHashBatch positions through the run kernel. Any
-    // other miss is a jump (skip acceleration, post-match restart);
-    // hash one position so sparse scans do no speculative work.
-    const bool sequential = pos == hashBase_ + hashCount_;
-    hashBase_ = pos;
-    if (sequential) {
-        hashCount_ =
-            std::min(kHashBatch, hash_limit + 1 - pos);
-        table_.hashRun(input, pos, hashCount_, hashBuf_);
-    } else {
-        hashCount_ = 1;
-        hashBuf_[0] = table_.hashAt(input, pos);
-    }
-    return hashBuf_[0];
-}
-
 MatchFinder::Candidate
 MatchFinder::bestMatchAt(ByteSpan input, std::size_t pos,
-                         std::size_t hash_limit,
                          MatchFinderStats &stats)
 {
-    table_.lookupAndInsertHashed(hashFor(input, pos, hash_limit), pos,
-                                 scratchCandidates_);
+    table_.lookupAndInsert(input, pos, scratchCandidates_);
     ++stats.positionsHashed;
     Candidate best;
     for (u32 cand : scratchCandidates_) {
@@ -133,18 +108,14 @@ MatchFinder::parse(ByteSpan input, MatchFinderStats *stats_out)
         return parse;
     }
     const std::size_t hash_limit = input.size() - hash_bytes;
-    // New buffer: the hash cache from the previous parse is for other
-    // bytes. An empty cache at base 0 reads as "sequential at 0", so
-    // the very first lookup already batch-hashes.
-    hashBase_ = 0;
-    hashCount_ = 0;
 
     std::size_t literal_start = 0;
     std::size_t pos = 0;
     u32 miss_streak = 0;
+    u64 inserts = 0;
 
     while (pos <= hash_limit) {
-        Candidate best = bestMatchAt(input, pos, hash_limit, stats);
+        Candidate best = bestMatchAt(input, pos, stats);
 
         if (best.length == 0) {
             ++miss_streak;
@@ -161,8 +132,7 @@ MatchFinder::parse(ByteSpan input, MatchFinderStats *stats_out)
             best.length < 64) {
             // Peek one position ahead; prefer a strictly longer match
             // there (classic one-step lazy evaluation).
-            Candidate next =
-                bestMatchAt(input, pos + 1, hash_limit, stats);
+            Candidate next = bestMatchAt(input, pos + 1, stats);
             if (next.length > best.length + 1) {
                 ++pos;
                 best = next;
@@ -188,6 +158,7 @@ MatchFinder::parse(ByteSpan input, MatchFinderStats *stats_out)
              p < match_end && p <= hash_limit;
              p += insert_stride) {
             table_.insert(input, p);
+            ++inserts;
         }
         pos = match_end;
         literal_start = pos;
@@ -195,6 +166,10 @@ MatchFinder::parse(ByteSpan input, MatchFinderStats *stats_out)
 
     parse.literalTailStart = literal_start;
     stats.literalBytes += input.size() - literal_start;
+    // Hashing is scalar work at every tier, counted as fastParse counts
+    // its own: every lookup and every in-match insert.
+    mem::kernelStats().tierHashPositions[0] +=
+        stats.positionsHashed + inserts;
     if (stats_out)
         *stats_out = stats;
     return parse;

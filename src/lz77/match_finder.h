@@ -75,29 +75,13 @@ class MatchFinder
         u32 length = 0;
     };
 
-    /** Best verified candidate at @p pos, or length 0. @p hash_limit
-     *  is the last hashable position in this parse. */
+    /** Best verified candidate at @p pos, or length 0. */
     Candidate bestMatchAt(ByteSpan input, std::size_t pos,
-                          std::size_t hash_limit,
                           MatchFinderStats &stats);
-
-    /** Hash for @p pos, served from the batch cache. Sequential scans
-     *  refill kHashBatch positions at once through the multi-lane
-     *  kernel; random jumps (skip acceleration, post-match restarts)
-     *  hash a single position so incompressible data pays no batch
-     *  waste. Values are pure functions of the input bytes, so the
-     *  cache never goes stale within a parse. */
-    u32 hashFor(ByteSpan input, std::size_t pos,
-                std::size_t hash_limit);
-
-    static constexpr std::size_t kHashBatch = 16;
 
     MatchFinderConfig config_;
     MatchHashTable table_;
     std::vector<u32> scratchCandidates_;
-    std::size_t hashBase_ = 0;  ///< First position in hashBuf_.
-    std::size_t hashCount_ = 0; ///< Valid entries in hashBuf_.
-    u32 hashBuf_[kHashBatch] = {};
 };
 
 } // namespace cdpu::lz77

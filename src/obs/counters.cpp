@@ -128,12 +128,53 @@ HistogramSnapshot::validate() const
     return validate(toJson());
 }
 
+namespace
+{
+
+/** Why @p value, published as @p name, is not a finite non-negative
+ *  number (with @p count: not a non-negative integer within u64);
+ *  empty when it is one. */
+std::string
+fieldError(const std::string &name, const JsonValue *value, bool count)
+{
+    if (value == nullptr)
+        return name + " missing";
+    const double number = value->asDouble();
+    if (count ? value->isU64()
+              : value->isNumber() && std::isfinite(number) && number >= 0)
+        return {};
+    return name + " is " + value->dump() +
+           (count ? ", not a non-negative integer"
+                  : ", not a finite non-negative number");
+}
+
+} // namespace
+
 Status
 HistogramSnapshot::validate(const JsonValue &published)
 {
+    // Every field read below is checked first, so no read defaults a
+    // missing or malformed field to 0 or converts a negative number.
+    for (const char *name :
+         {"count", "min", "max", "p50", "p90", "p99", "p999"}) {
+        std::string error = fieldError(name, published.find(name),
+                                       name == std::string("count"));
+        if (!error.empty())
+            return Status::corrupt(std::move(error));
+    }
+    const JsonValue *buckets = published.find("buckets");
+    if (buckets == nullptr || !buckets->isObject())
+        return Status::corrupt("buckets missing or not an object");
     u64 total = 0;
-    for (const auto &[bucket, samples] : published.at("buckets").members())
+    for (const auto &[bucket, samples] : buckets->members()) {
+        std::string error = fieldError("buckets." + bucket, &samples, true);
+        if (!error.empty())
+            return Status::corrupt(std::move(error));
+        if (total + samples.asU64() < total)
+            return Status::corrupt("buckets sum past 2^64 at buckets." +
+                                   bucket);
         total += samples.asU64();
+    }
     const u64 count = published.at("count").asU64();
     if (total != count)
         return Status::corrupt("buckets sum to " + std::to_string(total) +

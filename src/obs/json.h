@@ -76,6 +76,10 @@ class JsonValue
     bool isArray() const { return type_ == Type::array; }
     bool isObject() const { return type_ == Type::object; }
 
+    /** A number held exactly as a u64: built from one, or parsed from
+     *  an unsigned integer literal that fits. */
+    bool isU64() const { return isUint_; }
+
     bool asBool() const { return bool_; }
     double asDouble() const { return double_; }
     /** Exact for values built from u64; rounded for other numbers. */

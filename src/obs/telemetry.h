@@ -1,7 +1,7 @@
 /**
  * @file
- * Telemetry hub: one handle wiring spans, flight rings, metrics and
- * SLOs into an instrumented layer.
+ * Telemetry hub: one handle wiring spans, flight rings and metrics
+ * into an instrumented layer.
  *
  * The serve engine, the harden fuzz driver, and the benches all take
  * an optional Telemetry*; a null pointer is the compiled-in-but-idle
@@ -24,7 +24,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "obs/span.h"
 
 namespace cdpu::obs
@@ -42,10 +41,6 @@ struct TelemetryConfig
     /** Engine metrics trigger: sample the counter registry every N
      *  completed calls; 0 disables in-engine sampling. */
     u64 metricsEveryCalls = 0;
-    /** Interval ring capacity for the engine's sampler. */
-    std::size_t metricsCapacity = 256;
-    /** Record per-(codec, direction, size-class) latency histograms. */
-    bool dimensionedLatency = true;
 };
 
 class Telemetry
@@ -68,9 +63,6 @@ class Telemetry
     FlightRecorder &flight() { return flight_; }
     const FlightRecorder &flight() const { return flight_; }
 
-    SloTracker &slo() { return slo_; }
-    const SloTracker &slo() const { return slo_; }
-
     /**
      * Captures the flight recorder's last-K history as the fault dump
      * (first caller wins — the earliest fault is the interesting one)
@@ -91,7 +83,6 @@ class Telemetry
     FlightNamer namer_;
     SpanRecorder spans_;
     FlightRecorder flight_;
-    SloTracker slo_;
 
     mutable std::mutex faultMutex_;
     u64 faults_ = 0;

@@ -5,6 +5,7 @@
 
 #include "codec/obs_bridge.h"
 #include "obs/kernel_stats.h"
+#include "obs/slo.h"
 
 namespace cdpu::serve
 {
@@ -13,6 +14,9 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+
+/** Intervals the engine's metrics sampler keeps. */
+constexpr std::size_t kMetricsCapacity = 256;
 
 const char *
 directionLabel(codec::Direction direction)
@@ -96,8 +100,6 @@ CallRecorder::CallRecorder(const CallNames &names, unsigned shards,
                            obs::Telemetry *telemetry,
                            std::vector<const char *> events)
     : names_(names), telemetry_(telemetry), events_(std::move(events)),
-      dimensioned_(names.latency != nullptr &&
-                   (!telemetry || telemetry->config().dimensionedLatency)),
       spansBefore_(telemetry ? telemetry->spans().sampledCount() : 0),
       work_(shards), runtime_(shards)
 {
@@ -110,7 +112,7 @@ CallRecorder::CallRecorder(const CallNames &names, unsigned shards,
         sampler_ = std::make_unique<obs::MetricsSampler>(
             std::vector<const obs::ShardedCounterRegistry *>{&work_,
                                                              &runtime_},
-            telemetry->config().metricsCapacity);
+            kMetricsCapacity);
 }
 
 CallRecorder::~CallRecorder() = default;
@@ -208,8 +210,6 @@ CallRecorder::record(unsigned shard, const hcb::ReplayCall &call,
     if (names_.latency) {
         runtime_.withShard(shard, [&](obs::CounterRegistry &registry) {
             sample(registry, s.latency, names_.latency, latency_ns);
-            if (!dimensioned_)
-                return;
             const unsigned size_class = obs::Histogram::bucketOf(bytes_in);
             obs::Histogram *&cell = slotAt(
                 s.cells, (codec_index * 2 + direction) *

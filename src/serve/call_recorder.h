@@ -139,7 +139,6 @@ class CallRecorder
     const CallNames names_;
     obs::Telemetry *const telemetry_;
     const std::vector<const char *> events_;
-    const bool dimensioned_;
     const u64 spansBefore_;
 
     obs::ShardedCounterRegistry work_;

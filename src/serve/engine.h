@@ -50,8 +50,7 @@ struct EngineConfig
      * per-call spans sampled on call id (deterministic across worker
      * counts), flight events into the worker's ring, metrics samples
      * every config.metricsEveryCalls completed calls, and a fault dump
-     * on the first failed call. The hub's dimensionedLatency = false
-     * turns off the dimensioned latency cells, which are otherwise
+     * on the first failed call. The dimensioned latency cells are
      * recorded with or without a hub.
      */
     obs::Telemetry *telemetry = nullptr;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for bench_scaling's sweep harness (bench/bench_common.h): the
- * per-point spread, the worker ladder, and the speedup headline keyed
- * on the measured parallelism P rather than on the host's nproc.
+ * per-point spread, the worker ladder, the speedup headline keyed on
+ * the measured parallelism P rather than on the host's nproc, and the
+ * latency histograms each sweep point publishes.
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +82,39 @@ TEST(ScalingHeadlineTest, SpeedupSkipsOnlyTheCoreBoundPoints)
     ASSERT_TRUE(section.has("speedup_best"));
     EXPECT_DOUBLE_EQ(section.at("speedup_best").asDouble(), 3.0);
     EXPECT_DOUBLE_EQ(section.at("mb_per_sec_best").asDouble(), 420.0);
+}
+
+TEST(RunSweepTest, PublishesTheLatencyHistogramOfPointsWithSamples)
+{
+    std::vector<SweepPoint> points =
+        ladderWithMedians({{1, 100.0}, {2, 190.0}});
+    obs::Histogram latency;
+    for (u64 ns = 1000; ns <= 900000; ns += 7919)
+        latency.record(ns);
+    points[0].latency = latency.snapshot();
+    obs::JsonValue section = obs::JsonValue::object();
+    ASSERT_TRUE(runSweep(
+        "synthetic", 1, points, [](int) { return true; }, section));
+    const obs::JsonValue &sweep = section.at("sweep");
+    ASSERT_EQ(sweep.size(), 2u);
+
+    const obs::JsonValue &timed = sweep.at(0);
+    ASSERT_TRUE(timed.has("latency_ns"));
+    const obs::JsonValue &histogram = timed.at("latency_ns");
+    EXPECT_TRUE(obs::HistogramSnapshot::validate(histogram).ok());
+    EXPECT_EQ(histogram.at("count").asU64(), latency.snapshot().count);
+    for (const auto &[flat, quantile] :
+         {std::pair{"latency_p50_us", "p50"},
+          std::pair{"latency_p99_us", "p99"},
+          std::pair{"latency_p999_us", "p999"}}) {
+        const double us = timed.at(flat).asDouble();
+        EXPECT_NEAR(histogram.at(quantile).asDouble(), us * 1e3, us * 1e-9)
+            << quantile;
+    }
+
+    // No samples, no histogram (and no flat percentiles).
+    EXPECT_FALSE(sweep.at(1).has("latency_ns"));
+    EXPECT_FALSE(sweep.at(1).has("latency_p50_us"));
 }
 
 } // namespace

@@ -418,17 +418,94 @@ TEST(EntropyFastPathFuzz, FseRoundTripsOnVariedSkew)
     }
 }
 
+/** Decodes one symbol per entryAt() lookup: the reference the pair
+ *  table's two-symbol steps must reproduce, bytes and verdicts. */
+Status
+referenceHuffmanDecode(const huffman::Decoder &decoder, BitReader &reader,
+                       std::size_t count, Bytes &out)
+{
+    const std::size_t start = out.size();
+    for (std::size_t i = 0; i < count; ++i) {
+        const huffman::Decoder::Entry &entry = decoder.entryAt(
+            static_cast<u32>(reader.peek(decoder.maxBits())));
+        Status step = entry.length == 0
+                          ? Status::corrupt("invalid huffman code")
+                          : reader.advance(entry.length);
+        if (!step.ok()) {
+            out.resize(start);
+            return step;
+        }
+        out.push_back(static_cast<u8>(entry.symbol));
+    }
+    return Status::okStatus();
+}
+
+TEST(HuffmanFastPathFuzz, MatchesPerSymbolReferenceIncludingErrorVerdicts)
+{
+    Rng rng(229);
+    for (auto cls : corpus::allDataClasses()) {
+        Bytes data = corpus::generate(cls, 20000, rng);
+        if (data.empty())
+            continue;
+        auto table =
+            huffman::buildCodeTable(huffman::countFrequencies(data));
+        ASSERT_TRUE(table.ok());
+        auto decoder = huffman::Decoder::build(table.value());
+        ASSERT_TRUE(decoder.ok());
+        BitWriter writer;
+        ASSERT_TRUE(huffman::encode(table.value(), data, writer).ok());
+        const Bytes stream = writer.finish();
+
+        // Same bytes, verdict class and end cursor; a failed decode
+        // rolls its output back to empty on both sides.
+        auto expectAgree = [&](ByteSpan bits, std::size_t count,
+                               const std::string &what) {
+            BitReader got_reader(bits);
+            Bytes got;
+            const Status got_status =
+                decoder.value().decode(got_reader, count, got);
+            BitReader want_reader(bits);
+            Bytes want;
+            const Status want_status = referenceHuffmanDecode(
+                decoder.value(), want_reader, count, want);
+            ASSERT_EQ(got_status.ok(), want_status.ok()) << what;
+            EXPECT_EQ(got_status.code(), want_status.code()) << what;
+            EXPECT_EQ(got, want) << what;
+            if (want_status.ok()) {
+                EXPECT_EQ(got_reader.bitPos(), want_reader.bitPos())
+                    << what;
+            }
+        };
+
+        const std::string name = corpus::dataClassName(cls);
+        expectAgree(stream, data.size(), name + " clean");
+        // Clean prefixes end the pair loop at every offset of the
+        // one-symbol tail.
+        for (std::size_t count = 0; count < 40; ++count)
+            expectAgree(stream, count, name + " prefix");
+        for (int trial = 0; trial < 60; ++trial) {
+            Bytes broken = stream;
+            if (trial % 2 == 0 && broken.size() > 1) {
+                broken.resize(1 + rng.below(broken.size() - 1));
+            } else {
+                broken[rng.below(broken.size())] ^=
+                    static_cast<u8>(1u << rng.below(8));
+            }
+            expectAgree(broken, data.size(),
+                        name + " trial " + std::to_string(trial));
+        }
+    }
+}
+
 // --- Cross-tier byte-identity battery --------------------------------
 //
-// The SIMD kernel tier's contract (common/kernels.h): every tier
-// computes the same function, so compressed bytes, decoded bytes, and
-// the tier-invariant work counters must be identical whichever tier is
+// The SIMD kernel tier's contract (common/kernels.h): the tier picks
+// wildCopy's store width and the CRC-32C loop, both compute the same
+// function at every tier, so compressed bytes, decoded bytes, and the
+// tier-invariant work counters must be identical whichever tier is
 // active. Each test below replays the same inputs at the scalar
 // reference tier and at the parameterized tier and compares
-// everything. The bit-reader refill counters are compared too: the
-// Huffman pair path is the only loop whose shape depends on the tier,
-// and like every fused decode loop it reads through bitWindow(), which
-// counts no refills.
+// everything, the bit-reader refill counters included.
 
 /** Forces the parameterized tier for the test body; restores after. */
 class TierFuzz : public ::testing::TestWithParam<kernels::Tier>
@@ -625,114 +702,6 @@ TEST_P(TierFuzz, GipfeliByteIdenticalToScalar)
     }
 }
 
-TEST_P(TierFuzz, Lz77ParseIdenticalToScalar)
-{
-    // Parses are only tier-invariant if the multi-lane hash kernels
-    // are bit-exact; compare the full sequence stream, not just the
-    // reconstruction.
-    Rng rng(227);
-    for (auto cls : corpus::allDataClasses()) {
-        Bytes data = corpus::generate(cls, 48 * kKiB, rng);
-        for (auto fn : {lz77::HashFunction::multiplicative,
-                        lz77::HashFunction::xorShift,
-                        lz77::HashFunction::fibonacci64}) {
-            for (bool lazy : {false, true}) {
-                lz77::MatchFinderConfig config;
-                config.hashTable.hashFunction = fn;
-                config.hashTable.minMatch =
-                    fn == lz77::HashFunction::fibonacci64 ? 5 : 4;
-                config.lazyMatching = lazy;
-
-                ASSERT_TRUE(
-                    kernels::setActiveTier(kernels::Tier::scalar).ok());
-                lz77::MatchFinder scalar_finder(config);
-                lz77::MatchFinderStats scalar_stats;
-                lz77::Parse ref = scalar_finder.parse(data, &scalar_stats);
-
-                ASSERT_TRUE(kernels::setActiveTier(GetParam()).ok());
-                lz77::MatchFinder tier_finder(config);
-                lz77::MatchFinderStats tier_stats;
-                lz77::Parse got = tier_finder.parse(data, &tier_stats);
-
-                ASSERT_EQ(got.sequences.size(), ref.sequences.size());
-                for (std::size_t i = 0; i < ref.sequences.size(); ++i) {
-                    EXPECT_EQ(got.sequences[i].literalLength,
-                              ref.sequences[i].literalLength);
-                    EXPECT_EQ(got.sequences[i].matchLength,
-                              ref.sequences[i].matchLength);
-                    EXPECT_EQ(got.sequences[i].offset,
-                              ref.sequences[i].offset);
-                }
-                EXPECT_EQ(got.literalTailStart, ref.literalTailStart);
-                EXPECT_EQ(tier_stats.positionsHashed,
-                          scalar_stats.positionsHashed);
-                EXPECT_EQ(tier_stats.candidateProbes,
-                          scalar_stats.candidateProbes);
-                EXPECT_EQ(tier_stats.matchesEmitted,
-                          scalar_stats.matchesEmitted);
-                EXPECT_EQ(lz77::reconstruct(got, data), data);
-            }
-        }
-    }
-}
-
-TEST_P(TierFuzz, HuffmanDecodeIdenticalIncludingErrorVerdicts)
-{
-    Rng rng(229);
-    for (auto cls : corpus::allDataClasses()) {
-        Bytes data = corpus::generate(cls, 20000, rng);
-        if (data.empty())
-            continue;
-        auto table =
-            huffman::buildCodeTable(huffman::countFrequencies(data));
-        ASSERT_TRUE(table.ok());
-        auto decoder = huffman::Decoder::build(table.value());
-        ASSERT_TRUE(decoder.ok());
-        BitWriter writer;
-        ASSERT_TRUE(huffman::encode(table.value(), data, writer).ok());
-        Bytes stream = writer.finish();
-
-        auto decodeAll = [&](ByteSpan bits, Bytes &out) {
-            BitReader reader(bits);
-            return decoder.value().decode(reader, data.size(), out);
-        };
-
-        // Clean stream: identical bytes.
-        ASSERT_TRUE(
-            kernels::setActiveTier(kernels::Tier::scalar).ok());
-        Bytes ref_out;
-        Status ref_status = decodeAll(stream, ref_out);
-        ASSERT_TRUE(kernels::setActiveTier(GetParam()).ok());
-        Bytes tier_out;
-        Status tier_status = decodeAll(stream, tier_out);
-        EXPECT_EQ(tier_status.ok(), ref_status.ok());
-        EXPECT_EQ(tier_out, ref_out);
-        EXPECT_EQ(ref_out, data);
-
-        // Truncated and mutated streams: identical verdict classes and
-        // identical partial behavior (both paths roll back to empty).
-        for (int trial = 0; trial < 60; ++trial) {
-            Bytes broken = stream;
-            if (trial % 2 == 0 && broken.size() > 1) {
-                broken.resize(1 + rng.below(broken.size() - 1));
-            } else {
-                broken[rng.below(broken.size())] ^=
-                    static_cast<u8>(1u << rng.below(8));
-            }
-            ASSERT_TRUE(
-                kernels::setActiveTier(kernels::Tier::scalar).ok());
-            Bytes ref_broken;
-            Status ref_verdict = decodeAll(broken, ref_broken);
-            ASSERT_TRUE(kernels::setActiveTier(GetParam()).ok());
-            Bytes tier_broken;
-            Status tier_verdict = decodeAll(broken, tier_broken);
-            EXPECT_EQ(tier_verdict.ok(), ref_verdict.ok());
-            EXPECT_EQ(tier_verdict.code(), ref_verdict.code());
-            EXPECT_EQ(tier_broken, ref_broken);
-        }
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllAvailableTiers, TierFuzz,
     ::testing::ValuesIn(kernels::availableTiers()),
@@ -833,13 +802,22 @@ TEST(FastParseBattery, EqualsMatchFinderForEveryCodecGeometry)
                 continue;
             const std::string what = payload.what + ", " + settings[k].name;
             lz77::MatchFinderStats stats;
+            mem::KernelStats before = mem::kernelStats();
             const lz77::Parse want =
                 lz77::MatchFinder(settings[k].config)
                     .parse(payload.bytes, &stats);
+            const u64 want_hashes =
+                mem::kernelStats().diff(before).tierHashPositions[0];
             sweep.run([&](kernels::Tier tier) {
+                before = mem::kernelStats();
                 expectSameParse(
                     lz77::fastParse(payload.bytes, settings[k].config),
                     want, what + " at " + kernels::tierName(tier));
+                // Both parsers count the positions they hash: every
+                // lookup and every in-match insert, nothing speculative.
+                EXPECT_EQ(mem::kernelStats().diff(before).tierHashPositions[0],
+                          want_hashes)
+                    << what << " at " << kernels::tierName(tier);
             });
         }
     });

@@ -2,8 +2,9 @@
  * @file
  * Unit battery for the SIMD kernel tier (common/kernels.h): tier
  * naming/selection mechanics, and — the load-bearing part — bit-exact
- * equivalence of every vector kernel against the scalar reference
- * across sizes, alignments, and overlap distances. The codec-level
+ * equivalence of the two tier-selected kernels (wildCopy's store width
+ * and the CRC-32C loop) against the scalar reference across sizes,
+ * alignments, and overlap distances. The codec-level
  * cross-tier batteries (fastpath_fuzz_test, codec_test) build on the
  * guarantees pinned here.
  */
@@ -14,7 +15,6 @@
 #include "common/kernels.h"
 #include "common/mem.h"
 #include "common/rng.h"
-#include "lz77/hash_table.h"
 
 namespace cdpu
 {
@@ -192,54 +192,6 @@ TEST(KernelCrc32cTest, KnownVectorAndCrossTierIdentity)
         }
         ASSERT_TRUE(
             kernels::setActiveTier(kernels::Tier::scalar).ok());
-    }
-}
-
-TEST(KernelHashRunTest, MatchesHashAtEverywhere)
-{
-    // hashRun must equal hashAt position-for-position at every tier,
-    // for every hash function, including the geometry-guarded scalar
-    // fallback near the buffer end.
-    TierGuard guard;
-    Rng rng(42);
-    Bytes data(512);
-    for (auto &b : data)
-        b = static_cast<u8>(rng.next());
-    for (lz77::HashFunction fn :
-         {lz77::HashFunction::multiplicative,
-          lz77::HashFunction::xorShift,
-          lz77::HashFunction::fibonacci64}) {
-        for (unsigned log2 : {9u, 14u}) {
-            lz77::HashTableConfig config;
-            config.hashFunction = fn;
-            config.log2Entries = log2;
-            config.minMatch =
-                fn == lz77::HashFunction::fibonacci64 ? 5 : 4;
-            lz77::MatchHashTable table(config);
-            const std::size_t last_pos = data.size() - 8;
-            for (kernels::Tier tier : kernels::availableTiers()) {
-                ASSERT_TRUE(kernels::setActiveTier(tier).ok());
-                for (std::size_t pos :
-                     {std::size_t{0}, std::size_t{1},
-                      std::size_t{17}, std::size_t{300},
-                      last_pos - 20, last_pos - 3}) {
-                    u32 run[16];
-                    const std::size_t count =
-                        std::min<std::size_t>(16, last_pos - pos + 1);
-                    table.hashRun(ByteSpan(data.data(), data.size()),
-                                  pos, count, run);
-                    for (std::size_t i = 0; i < count; ++i)
-                        ASSERT_EQ(
-                            run[i],
-                            table.hashAt(
-                                ByteSpan(data.data(), data.size()),
-                                pos + i))
-                            << kernels::tierName(tier)
-                            << " fn=" << static_cast<int>(fn)
-                            << " pos=" << pos << " i=" << i;
-                }
-            }
-        }
     }
 }
 

@@ -233,6 +233,138 @@ TEST(MatchFinderTest, HashFunctionSweepRoundTrips)
     }
 }
 
+/** FNV-1a over the little-endian bytes of each value fed in. */
+struct Fnv1a
+{
+    u64 state = 0xcbf29ce484222325ull;
+
+    void
+    add(u64 value)
+    {
+        for (int i = 0; i < 8; ++i) {
+            state ^= (value >> (8 * i)) & 0xff;
+            state *= 0x100000001b3ull;
+        }
+    }
+};
+
+/** One pinned parse geometry and the digest of its parses. */
+struct PinnedGeometry
+{
+    HashFunction hash;
+    unsigned ways;
+    bool lazy;
+    unsigned log2Entries;
+    u64 digest;
+};
+
+TEST(MatchFinderTest, ParsesMatchPinnedDigests)
+{
+    // MatchFinder is the oracle for the CDPU cycle models and the
+    // Fig. 12/13/15 sweeps: its sequences, tail and stats are pinned
+    // per geometry over every corpus class, so a change to how it
+    // hashes or probes cannot move a parse unnoticed.
+    using enum HashFunction;
+    const PinnedGeometry pinned[] = {
+        {multiplicative, 1, false, 9, 0x32883c2d9a2bf42cull},
+        {multiplicative, 1, false, 14, 0x1bbbb9f84b9364f5ull},
+        {multiplicative, 1, true, 9, 0x916681784e720f16ull},
+        {multiplicative, 1, true, 14, 0xd913bf1f4dad32bbull},
+        {multiplicative, 2, false, 9, 0x016b5784c4438afcull},
+        {multiplicative, 2, false, 14, 0x5c4528301f2d8ab5ull},
+        {multiplicative, 2, true, 9, 0xa12ae6993e433b17ull},
+        {multiplicative, 2, true, 14, 0x802b25dab9474a47ull},
+        {multiplicative, 4, false, 9, 0x2f76ad26e4b20863ull},
+        {multiplicative, 4, false, 14, 0x983f01d4a77f71fbull},
+        {multiplicative, 4, true, 9, 0x9351d4c0495d952full},
+        {multiplicative, 4, true, 14, 0x2991567e5d15789dull},
+        {multiplicative, 8, false, 9, 0x570b8c7c8409d15eull},
+        {multiplicative, 8, false, 14, 0xb494254c171c79e5ull},
+        {multiplicative, 8, true, 9, 0x70e5e6ab48c27755ull},
+        {multiplicative, 8, true, 14, 0x5ae8017e4d103c5full},
+        {xorShift, 1, false, 9, 0xabbdbb680c7334c2ull},
+        {xorShift, 1, false, 14, 0xf017cdec7942d9d0ull},
+        {xorShift, 1, true, 9, 0xfb58e976cd209396ull},
+        {xorShift, 1, true, 14, 0x9bcb6d04fb24b21aull},
+        {xorShift, 2, false, 9, 0xef27927b4004c19full},
+        {xorShift, 2, false, 14, 0x087cbf9b3730544cull},
+        {xorShift, 2, true, 9, 0x060990add61e3df8ull},
+        {xorShift, 2, true, 14, 0x3f7e8a84b64a05ffull},
+        {xorShift, 4, false, 9, 0x2d54d660b61755cfull},
+        {xorShift, 4, false, 14, 0xb77c9ce1e61cb9aaull},
+        {xorShift, 4, true, 9, 0xfb2224fa985254beull},
+        {xorShift, 4, true, 14, 0x73b4395b3099a121ull},
+        {xorShift, 8, false, 9, 0x8b495774de1181a0ull},
+        {xorShift, 8, false, 14, 0xe411f9c1f332f241ull},
+        {xorShift, 8, true, 9, 0xe55d9e49b4910a2aull},
+        {xorShift, 8, true, 14, 0xd5ba87cac19a0861ull},
+        {fibonacci64, 1, false, 9, 0xe7c9acd8c4d53383ull},
+        {fibonacci64, 1, false, 14, 0xaa63de6060f83257ull},
+        {fibonacci64, 1, true, 9, 0x445ea751762e39f0ull},
+        {fibonacci64, 1, true, 14, 0x7ed9d7c4d784d995ull},
+        {fibonacci64, 2, false, 9, 0x9eab30dfa7f46ac5ull},
+        {fibonacci64, 2, false, 14, 0xb0fdb0f200f9b06full},
+        {fibonacci64, 2, true, 9, 0x6b5575e0a982ac93ull},
+        {fibonacci64, 2, true, 14, 0x94beec908b9fa2dcull},
+        {fibonacci64, 4, false, 9, 0xa0a84f9d55cf6997ull},
+        {fibonacci64, 4, false, 14, 0x3b6b9d187a5845e0ull},
+        {fibonacci64, 4, true, 9, 0xc28a9c71dca48d59ull},
+        {fibonacci64, 4, true, 14, 0xc9e9e73b5cb65682ull},
+        {fibonacci64, 8, false, 9, 0x47f131f6e8b91518ull},
+        {fibonacci64, 8, false, 14, 0x23335180d3dc256full},
+        {fibonacci64, 8, true, 9, 0x337ff41e43e75506ull},
+        {fibonacci64, 8, true, 14, 0xfbd00c5b27237680ull},
+    };
+    Rng rng(227);
+    std::vector<Bytes> inputs;
+    for (auto cls : corpus::allDataClasses())
+        inputs.push_back(corpus::generate(cls, 48 * kKiB, rng));
+    std::size_t index = 0;
+    for (HashFunction hash : {multiplicative, xorShift, fibonacci64}) {
+        for (unsigned ways : {1u, 2u, 4u, 8u}) {
+            for (bool lazy : {false, true}) {
+                for (unsigned log2_entries : {9u, 14u}) {
+                    MatchFinderConfig config;
+                    config.hashTable.hashFunction = hash;
+                    config.hashTable.ways = ways;
+                    config.hashTable.log2Entries = log2_entries;
+                    config.hashTable.minMatch = hash == fibonacci64 ? 5 : 4;
+                    config.lazyMatching = lazy;
+                    MatchFinder finder(config);
+                    Fnv1a digest;
+                    for (const Bytes &input : inputs) {
+                        MatchFinderStats stats;
+                        const Parse parse = finder.parse(input, &stats);
+                        for (const Sequence &seq : parse.sequences) {
+                            digest.add(seq.literalLength);
+                            digest.add(seq.matchLength);
+                            digest.add(seq.offset);
+                        }
+                        digest.add(parse.literalTailStart);
+                        digest.add(stats.positionsHashed);
+                        digest.add(stats.candidateProbes);
+                        digest.add(stats.matchesEmitted);
+                        digest.add(stats.matchBytes);
+                        digest.add(stats.literalBytes);
+                    }
+                    ASSERT_LT(index, std::size(pinned));
+                    const PinnedGeometry &want = pinned[index];
+                    ASSERT_EQ(want.hash, hash);
+                    ASSERT_EQ(want.ways, ways);
+                    ASSERT_EQ(want.lazy, lazy);
+                    ASSERT_EQ(want.log2Entries, log2_entries);
+                    EXPECT_EQ(digest.state, want.digest)
+                        << "hash " << static_cast<int>(hash) << ", " << ways
+                        << " ways, lazy " << lazy << ", 2^" << log2_entries
+                        << " entries";
+                    ++index;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(index, std::size(pinned));
+}
+
 TEST(MatchFinderTest, MoreHashEntriesNeverHurtMuch)
 {
     // Figure 13's premise: fewer hash entries -> more collisions ->

@@ -441,6 +441,44 @@ TEST(HistogramTest, ValidateRejectsHandBrokenPublishedHistograms)
                   StatusCode::corruptData)
             << to;
     }
+
+    // Missing, non-numeric, negative and overflowing fields are
+    // rejected by name rather than read as 0 or wrapped.
+    const std::pair<const char *, const char *> malformed[] = {
+        {R"({"count":1,"sum":4,"max":9,"buckets":{"3":1},"p50":"fast",)"
+         R"("p90":null,"p99":5,"p999":5})",
+         "min missing"},
+        {R"({"count":1,"sum":4,"min":4,"max":9,"buckets":{"3":1},)"
+         R"("p50":"fast","p90":5,"p99":5,"p999":5})",
+         "p50 is \"fast\""},
+        {R"({"count":1,"sum":4,"min":4,"max":9,"buckets":{"3":1},)"
+         R"("p50":5,"p90":null,"p99":5,"p999":5})",
+         "p90 is null"},
+        {R"({"count":-1,"sum":4,"min":4,"max":9,"buckets":{"3":-1},)"
+         R"("p50":5,"p90":5,"p99":5,"p999":5})",
+         "count is -1"},
+        {R"({"count":1,"sum":4,"min":4,"max":9,"buckets":{"3":-1},)"
+         R"("p50":5,"p90":5,"p99":5,"p999":5})",
+         "buckets.3 is -1"},
+        {R"({"count":1,"sum":4,"min":-4,"max":9,"buckets":{"3":1},)"
+         R"("p50":5,"p90":5,"p99":5,"p999":5})",
+         "min is -4"},
+        {R"({"count":0,"sum":4,"min":4,"max":9,)"
+         R"("buckets":{"3":18446744073709551615,"4":1},)"
+         R"("p50":5,"p90":5,"p99":5,"p999":5})",
+         "buckets sum past 2^64 at buckets.4"},
+        {R"({"count":1,"sum":4,"min":4,"max":9,"p50":5,"p90":5,)"
+         R"("p99":5,"p999":5})",
+         "buckets missing"},
+    };
+    for (const auto &[json, error] : malformed) {
+        auto parsed = JsonValue::parse(json);
+        ASSERT_TRUE(parsed.ok()) << json;
+        const Status status = HistogramSnapshot::validate(parsed.value());
+        EXPECT_EQ(status.code(), StatusCode::corruptData) << json;
+        EXPECT_NE(status.message().find(error), std::string::npos)
+            << status.message() << " lacks " << error;
+    }
 }
 
 // --- TraceSession -------------------------------------------------------
