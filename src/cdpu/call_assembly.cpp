@@ -24,7 +24,7 @@ enum TraceTrack : u32
 } // namespace
 
 PuResult
-assembleCall(const CdpuConfig &config, const sim::PlacementModel &model,
+assembleCall(const sim::PlacementModel &model,
              sim::MemoryHierarchy &memory, sim::Tlb &tlb,
              const CallShape &shape, obs::CounterRegistry &registry,
              obs::TraceSession *trace, const char *pu_name)
@@ -72,7 +72,6 @@ assembleCall(const CdpuConfig &config, const sim::PlacementModel &model,
     const u64 overlap =
         std::max({shape.computeCycles, stream_in, stream_out});
     result.cycles = dispatch + overlap + serial_stall + translation;
-    (void)config;
 
     registry.counter("pu.calls").increment();
     registry.counter("pu.cycles").add(result.cycles);

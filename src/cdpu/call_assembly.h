@@ -52,8 +52,7 @@ struct CallShape
  * non-null the call's phases are emitted as spans named under
  * @p pu_name.
  */
-PuResult assembleCall(const CdpuConfig &config,
-                      const sim::PlacementModel &model,
+PuResult assembleCall(const sim::PlacementModel &model,
                       sim::MemoryHierarchy &memory, sim::Tlb &tlb,
                       const CallShape &shape,
                       obs::CounterRegistry &registry,

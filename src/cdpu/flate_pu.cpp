@@ -70,7 +70,7 @@ FlateDecompressorPU::runFromTrace(const flatelite::FileTrace &trace,
     shape.callSequence = calls_++;
     shape.historyFallbacks = lz77.fallbacks();
     shape.fallbackCycles = lz77.fallbackCycles();
-    return assembleCall(config_, model_, memory_, tlb_, shape,
+    return assembleCall(model_, memory_, tlb_, shape,
                         registry_, trace_, "flate_decomp");
 }
 
@@ -116,9 +116,8 @@ FlateCompressorPU::run(ByteSpan input, Bytes *output)
     shape.inBytes = input.size();
     shape.outBytes = compressed.value().size();
     shape.callSequence = calls_++;
-    PuResult result = assembleCall(config_, model_, memory_, tlb_,
-                                   shape, registry_, trace_,
-                                   "flate_comp");
+    PuResult result = assembleCall(model_, memory_, tlb_, shape,
+                                   registry_, trace_, "flate_comp");
     if (output)
         *output = std::move(compressed).value();
     return result;

@@ -48,9 +48,8 @@ SnappyDecompressorPU::run(ByteSpan compressed, Bytes *output)
     shape.callSequence = calls_++;
     shape.historyFallbacks = lz77.fallbacks();
     shape.fallbackCycles = lz77.fallbackCycles();
-    PuResult result = assembleCall(config_, model_, memory_, tlb_,
-                                   shape, registry_, trace_,
-                                   "snappy_decomp");
+    PuResult result = assembleCall(model_, memory_, tlb_, shape,
+                                   registry_, trace_, "snappy_decomp");
 
     if (output) {
         CDPU_RETURN_IF_ERROR(snappy::applyElements(
@@ -86,9 +85,8 @@ SnappyCompressorPU::run(ByteSpan input, Bytes *output)
     shape.inBytes = input.size();
     shape.outBytes = compressed.size();
     shape.callSequence = calls_++;
-    PuResult result = assembleCall(config_, model_, memory_, tlb_,
-                                   shape, registry_, trace_,
-                                   "snappy_comp");
+    PuResult result = assembleCall(model_, memory_, tlb_, shape,
+                                   registry_, trace_, "snappy_comp");
 
     if (output)
         *output = std::move(compressed);

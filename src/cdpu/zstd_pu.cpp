@@ -95,7 +95,7 @@ ZstdDecompressorPU::runFromTrace(const zstdlite::FileTrace &trace,
     shape.callSequence = calls_++;
     shape.historyFallbacks = lz77.fallbacks();
     shape.fallbackCycles = lz77.fallbackCycles();
-    return assembleCall(config_, model_, memory_, tlb_, shape,
+    return assembleCall(model_, memory_, tlb_, shape,
                         registry_, trace_, "zstd_decomp");
 }
 
@@ -156,9 +156,8 @@ ZstdCompressorPU::run(ByteSpan input, Bytes *output)
     shape.inBytes = input.size();
     shape.outBytes = compressed.value().size();
     shape.callSequence = calls_++;
-    PuResult result = assembleCall(config_, model_, memory_, tlb_,
-                                   shape, registry_, trace_,
-                                   "zstd_comp");
+    PuResult result = assembleCall(model_, memory_, tlb_, shape,
+                                   registry_, trace_, "zstd_comp");
     if (output)
         *output = std::move(compressed).value();
     return result;

@@ -96,7 +96,7 @@ struct CodecCaps
      *  base codecs themselves. */
     bool isPipeline = false;
     BaseCodecId terminal = BaseCodecId::snappy;
-    std::vector<transform::StageId> stages;
+    std::vector<transform::StageId> stages = {};
 
     /** Clamps fleet-sampled parameters into this codec's legal range,
      *  so any sampled call can execute on any codec. */

@@ -29,33 +29,11 @@
 #include <algorithm>
 
 #include "common/crc32c.h"
+#include "common/le.h"
 #include "common/varint.h"
 
 namespace cdpu::container
 {
-
-namespace
-{
-
-void
-putU32le(Bytes &out, u32 value)
-{
-    out.push_back(static_cast<u8>(value));
-    out.push_back(static_cast<u8>(value >> 8));
-    out.push_back(static_cast<u8>(value >> 16));
-    out.push_back(static_cast<u8>(value >> 24));
-}
-
-u32
-getU32le(ByteSpan data, std::size_t pos)
-{
-    return static_cast<u32>(data[pos]) |
-           (static_cast<u32>(data[pos + 1]) << 8) |
-           (static_cast<u32>(data[pos + 2]) << 16) |
-           (static_cast<u32>(data[pos + 3]) << 24);
-}
-
-} // namespace
 
 Status
 write(codec::CodecId id, ByteSpan input, const WriteOptions &options,
@@ -120,7 +98,7 @@ write(codec::CodecId id, ByteSpan input, const WriteOptions &options,
         putVarint(out, regen);
         offset += comp;
     }
-    putU32le(out, crc32c(out));
+    putLe<u32>(out, crc32c(out));
     out.insert(out.end(), data.begin(), data.end());
     return Status::okStatus();
 }
@@ -255,7 +233,7 @@ parseIndex(ByteSpan frame)
 
     if (frame.size() - pos < 4)
         return Status::corrupt("container truncated before index CRC");
-    const u32 stored = getU32le(frame, pos);
+    const u32 stored = getLe<u32>(frame, pos);
     const u32 computed = crc32c(frame.first(pos));
     if (stored != computed)
         return Status::corrupt("container index CRC mismatch");

@@ -181,12 +181,10 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
     PendingBlock block;
     std::size_t cursor = 0;
     std::size_t block_start = 0;
-    bool emitted = false;
 
     auto flush = [&](bool last) -> Status {
         CDPU_RETURN_IF_ERROR(
             encodeBlock(input, block_start, block, last, out, trace));
-        emitted = true;
         block_start = cursor;
         block = PendingBlock{};
         return Status::okStatus();
@@ -204,7 +202,6 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
     cursor += tail;
     // Always emit a final block so the last-block flag is present; an
     // empty trailing block degenerates to a zero-length raw block.
-    (void)emitted;
     CDPU_RETURN_IF_ERROR(flush(true));
 
     if (trace)

@@ -172,8 +172,7 @@ decodeElements(ByteSpan stream, const LiteralTable &literals,
 void
 compressInto(ByteSpan input, Bytes &out)
 {
-    out.clear();
-    out.insert(out.end(), kMagic.begin(), kMagic.end());
+    out.assign(kMagic.begin(), kMagic.end());
     putVarint(out, input.size());
 
     // Parse with Snappy-like geometry (fixed 64 KiB window).

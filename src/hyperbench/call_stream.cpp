@@ -1,7 +1,5 @@
 #include "hyperbench/call_stream.h"
 
-#include <algorithm>
-
 #include "codec/registry.h"
 
 namespace cdpu::hcb
@@ -26,22 +24,6 @@ CallStream::append(codec::CodecId codec, Direction direction,
     payloadBytes_ += stored.size();
     calls_.push_back(call);
     return call.id;
-}
-
-std::vector<CallBatch>
-CallStream::batches(std::size_t batch_size) const
-{
-    batch_size = std::max<std::size_t>(batch_size, 1);
-    std::vector<CallBatch> result;
-    result.reserve((calls_.size() + batch_size - 1) / batch_size);
-    for (std::size_t start = 0; start < calls_.size();
-         start += batch_size) {
-        CallBatch batch;
-        batch.calls = calls_.data() + start;
-        batch.count = std::min(batch_size, calls_.size() - start);
-        result.push_back(batch);
-    }
-    return result;
 }
 
 Status

@@ -5,9 +5,9 @@
  * The paper's serving story (Section 3) is millions of independent
  * (de)compression calls; HyperCompressBench models them as suite files
  * with fleet-sampled parameters. This bridge turns those files into a
- * flat stream of call descriptors, batched into fixed-size work units,
- * so the serve layer can drain them through a worker pool. The stream
- * owns all payload bytes; descriptors carry non-owning views, making a
+ * flat stream of call descriptors, so the serve layer can drain them
+ * through a worker pool one call at a time. The stream owns all
+ * payload bytes; descriptors carry non-owning views, making a
  * CallStream cheap to share read-only across worker threads.
  *
  * Calls carry a codec::CodecId — the single codec selector shared by
@@ -49,13 +49,6 @@ struct ReplayCall
     std::size_t chunkBytes = 0;
 };
 
-/** A contiguous run of calls handed to a worker as one queue item. */
-struct CallBatch
-{
-    const ReplayCall *calls = nullptr;
-    std::size_t count = 0;
-};
-
 /** Owns call payloads and the ordered descriptor list. Append-only;
  *  freeze it (stop appending) before sharing across threads. */
 class CallStream
@@ -71,13 +64,6 @@ class CallStream
     std::size_t size() const { return calls_.size(); }
     bool empty() const { return calls_.empty(); }
     std::size_t totalPayloadBytes() const { return payloadBytes_; }
-
-    /**
-     * Partitions the stream into batches of @p batch_size consecutive
-     * calls (last batch may be short). Batches view this stream, which
-     * must outlive them and stay unmodified while they are in flight.
-     */
-    std::vector<CallBatch> batches(std::size_t batch_size) const;
 
   private:
     std::deque<Bytes> arena_; ///< Stable storage for payload views.

@@ -16,10 +16,7 @@ namespace cdpu::serve
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-/** Poll interval for the deadline admission policy's bounded wait. */
-constexpr auto kAdmitPollInterval = std::chrono::microseconds(100);
+using Clock = WaitClock;
 
 /** Runtime events the daemon counts through its recorder, by index. */
 enum DaemonEvent : unsigned
@@ -179,17 +176,14 @@ Daemon::start()
             return Status::io("self-pipe O_NONBLOCK failed");
     }
 
-    // The pool's queue blocks producers only under the block admission
-    // policy; drop and deadline need an immediate answer from submit()
-    // so the reject path can respond to the client.
-    ExecutorConfig pool;
-    pool.workers = config_.workers;
-    pool.shards = config_.shards;
-    pool.shardCapacity = config_.shardCapacity;
-    pool.policy = config_.admission == AdmissionPolicy::block
-                      ? BackpressurePolicy::block
-                      : BackpressurePolicy::drop;
-    executor_ = std::make_unique<Executor>(pool);
+    // Only drop admission sheds at once; block and deadline wait for
+    // room, bounded by admit()'s wait bound.
+    executor_ = std::make_unique<Executor>(ExecutorConfig{
+        .workers = config_.workers,
+        .shardCapacity = config_.shardCapacity,
+        .policy = config_.admission == AdmissionPolicy::drop
+                      ? BackpressurePolicy::drop
+                      : BackpressurePolicy::block});
     acceptThread_ = std::thread([this] { acceptLoop(); });
 
     started_.store(true);
@@ -391,57 +385,35 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
                        std::chrono::nanoseconds(request.deadlineNs);
     job.request = std::move(request);
 
+    // The one admission call: block waits for room forever, drop never
+    // waits, deadline waits until the request's own deadline.
     const unsigned home = static_cast<unsigned>(conn->id);
-    const Clock::time_point deadline = job.deadline;
+    const Clock::time_point until =
+        config_.admission == AdmissionPolicy::deadline ? job.deadline
+                                                       : kWaitForever;
     Executor::Task task = [this, job = std::move(job)](
                               Worker &worker) mutable {
         serve(worker, job);
     };
+    if (executor_->submit(home, std::move(task), until))
+        return;
 
-    switch (config_.admission) {
-      case AdmissionPolicy::block:
-        // Lossless: a full shard backpressures this reader (and so
-        // the client socket). submit() fails only when the pool closed
-        // under us mid-drain.
-        if (!executor_->submit(home, std::move(task))) {
-            countAdmission(kShutdownRejects, false);
-            sendError(conn, request_id, WireCode::shuttingDown,
-                      "daemon is draining");
-        }
-        return;
-      case AdmissionPolicy::drop:
-        if (!executor_->submit(home, std::move(task))) {
-            // The job (and its payload buffer) died with the failed
-            // submit; all that remains is to attribute the shed load
-            // to the tenant it belonged to and answer.
-            countAdmission(kDrops, true);
-            sendError(conn, request_id, WireCode::overloaded,
-                      "queue full (drop policy)");
-        }
-        return;
-      case AdmissionPolicy::deadline: {
-        // Wait only as long as the request itself is willing to wait.
-        // trySubmit leaves the task intact on failure, so the retry
-        // loop never re-submits a moved-from job.
-        for (;;) {
-            if (executor_->trySubmit(home, task))
-                return;
-            if (draining_.load()) {
-                countAdmission(kShutdownRejects, false);
-                sendError(conn, request_id, WireCode::shuttingDown,
-                          "daemon is draining");
-                return;
-            }
-            if (Clock::now() >= deadline) {
-                countAdmission(kDeadlineRejects, true);
-                sendError(conn, request_id,
-                          WireCode::deadlineExceeded,
-                          "deadline expired before admission");
-                return;
-            }
-            std::this_thread::sleep_for(kAdmitPollInterval);
-        }
-      }
+    // The job, and its payload buffer, died with the refused submit;
+    // what remains is to answer and to attribute the reject.
+    if (config_.admission == AdmissionPolicy::drop) {
+        countAdmission(kDrops, true);
+        sendError(conn, request_id, WireCode::overloaded,
+                  "queue full (drop policy)");
+    } else if (config_.admission == AdmissionPolicy::deadline &&
+               !draining_.load()) {
+        countAdmission(kDeadlineRejects, true);
+        sendError(conn, request_id, WireCode::deadlineExceeded,
+                  "deadline expired before admission");
+    } else {
+        // Block admission is refused only by a pool closed mid-drain.
+        countAdmission(kShutdownRejects, false);
+        sendError(conn, request_id, WireCode::shuttingDown,
+                  "daemon is draining");
     }
 }
 

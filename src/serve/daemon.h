@@ -2,8 +2,8 @@
  * @file
  * cdpud: the compression-as-a-service daemon.
  *
- * The real front end for ROADMAP item 1: where ReplayEngine replays
- * pre-built batches, the Daemon accepts live wire-protocol traffic
+ * The real front end for ROADMAP item 1: where ReplayEngine replays a
+ * pre-built call stream, the Daemon accepts live wire-protocol traffic
  * (serve/wire.h) on unix-domain and TCP listeners, admits it through
  * the same BackpressurePolicy vocabulary the replay engine uses, and
  * executes it on the daemon's worker pool (serve/executor.h) — one
@@ -22,20 +22,22 @@
  * drop/reject attributed to its tenant so load shedding is visible per
  * customer, not just in aggregate.
  *
- * Admission control (DESIGN.md §16):
+ * Admission control (DESIGN.md §16) is one bounded submit per request;
+ * the policy picks the queue's backpressure policy and the wait bound:
  *  - block: a full queue backpressures the reader (and so the client's
  *    socket) until a worker makes room — lossless.
  *  - drop: a full queue rejects immediately with `overloaded`; the
  *    request buffer is freed on the spot.
- *  - deadline: a full queue waits only while the request's deadline
- *    has not expired, then rejects with `deadline_exceeded`; workers
- *    re-check expiry before executing so a stale call never burns
- *    codec cycles.
+ *  - deadline: a full queue is waited on until the request's deadline
+ *    (forever without one), then rejects with `deadline_exceeded`;
+ *    workers re-check expiry before executing so a stale call never
+ *    burns codec cycles.
  *
  * Graceful drain (SIGTERM in cdpud): stop accepting, shut the read
  * side of every connection, finish every admitted request, flush
- * responses, then release the workers. No admitted request is ever
- * silently lost.
+ * responses, then release the workers. A request still waiting for
+ * room when the drain begins keeps its wait bound and is admitted if
+ * room appears in time. No admitted request is ever silently lost.
  */
 
 #ifndef CDPU_SERVE_DAEMON_H_
@@ -81,9 +83,8 @@ struct DaemonConfig
     u16 tcpPort = 0;
 
     unsigned workers = 2;
-    /** Queue shards; 0 = one per worker. */
-    unsigned shards = 0;
-    /** Requests a shard holds before admission control engages. */
+    /** Requests a worker's shard holds before admission control
+     *  engages. */
     std::size_t shardCapacity = 64;
     AdmissionPolicy admission = AdmissionPolicy::block;
     WireLimits limits;

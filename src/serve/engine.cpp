@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <chrono>
 
 namespace cdpu::serve
@@ -21,15 +20,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** Runtime events the pool's tasks count, by index. */
-enum EngineEvent : unsigned
-{
-    kSteals,
-    kBatches,
-};
-const std::vector<const char *> kEngineEvents = {"serve.steals",
-                                                 "serve.batches"};
 
 /** Runs one call and fills its outcome slot: the per-call body the
  *  pool's workers and replaySequential share. */
@@ -76,16 +66,13 @@ finishReport(ReplayReport &report, const CallRecorder &recorder,
 
 } // namespace
 
-ReplayEngine::ReplayEngine(const EngineConfig &config) : config_(config)
+ReplayEngine::ReplayEngine(const EngineConfig &config)
+    : config_(config),
+      executor_(std::make_unique<Executor>(
+          ExecutorConfig{.workers = config.workers,
+                         .shardCapacity = config.shardCapacity,
+                         .policy = config.policy}))
 {
-    // The pool clamps its own sizes.
-    config_.batchSize = std::max<std::size_t>(config_.batchSize, 1);
-    ExecutorConfig pool;
-    pool.workers = config_.workers;
-    pool.shards = config_.shards;
-    pool.shardCapacity = config_.shardCapacity;
-    pool.policy = config_.policy;
-    executor_ = std::make_unique<Executor>(pool);
 }
 
 ReplayReport
@@ -94,23 +81,18 @@ ReplayEngine::run(const hcb::CallStream &stream)
     ReplayReport report;
     report.outcomes.resize(stream.size());
     CallRecorder recorder(kServeCallNames, executor_->workers(),
-                          config_.telemetry, kEngineEvents);
+                          config_.telemetry, {"serve.steals"});
 
-    // Batches go round-robin across the shards so every worker has a
-    // home stream of work; stealing levels the imbalance. Under the
-    // drop policy a refused batch never runs and its calls count as
-    // dropped.
-    const std::vector<hcb::CallBatch> batches =
-        stream.batches(config_.batchSize);
+    // One task per call, round-robin across the workers' shards so
+    // every worker has a home stream of work; stealing levels the
+    // imbalance. Under the drop policy a refused call never runs and
+    // counts as dropped.
+    const std::vector<hcb::ReplayCall> &calls = stream.calls();
     const auto started = Clock::now();
-    executor_->runAll(batches.size(), [&](Worker &worker, std::size_t b) {
-        recorder.countEvent(worker.index, kSteals, worker.stolen ? 1 : 0);
-        recorder.countEvent(worker.index, kBatches);
-        for (std::size_t i = 0; i < batches[b].count; ++i) {
-            const hcb::ReplayCall &call = batches[b].calls[i];
-            replayCall(recorder, worker, call, config_.recordOutputs,
-                       report.outcomes[call.id]);
-        }
+    executor_->runAll(calls.size(), [&](Worker &worker, std::size_t i) {
+        recorder.countEvent(worker.index, 0, worker.stolen ? 1 : 0);
+        replayCall(recorder, worker, calls[i], config_.recordOutputs,
+                   report.outcomes[i]);
     });
     finishReport(report, recorder, started);
     report.runtime.counters["serve.drops"] = report.dropped;

@@ -4,8 +4,8 @@
  *
  * Replays a CallStream — the unit of serving work in the paper's fleet
  * analysis (Section 3: independent (de)compression calls, not files) —
- * as batches over the engine's own worker pool (serve/executor.h).
- * Each call runs and is accounted through a CallRecorder
+ * over the engine's own worker pool (serve/executor.h), one call per
+ * task. Each call runs and is accounted through a CallRecorder
  * (serve/call_recorder.h), the same one the no-thread reference uses.
  *
  * Determinism contract: with the block backpressure policy, the
@@ -31,15 +31,10 @@ namespace cdpu::serve
 struct EngineConfig
 {
     unsigned workers = 1;
-    /** Queue shards; 0 means one per worker (the stealing-friendly
-     *  default). */
-    unsigned shards = 0;
-    /** Batches a shard holds before producers feel backpressure. */
+    /** Calls a worker's shard holds before the producer feels
+     *  backpressure. */
     std::size_t shardCapacity = 8;
     BackpressurePolicy policy = BackpressurePolicy::block;
-    /** Calls per queue item; amortizes queue traffic per the fleet's
-     *  small-call distribution (Figure 6: most calls are tiny). */
-    std::size_t batchSize = 8;
     /** Keep each call's output bytes (differential tests); costly for
      *  large streams, so benches leave it off and compare hashes. */
     bool recordOutputs = false;
@@ -77,7 +72,8 @@ struct ReplayReport
     obs::CounterSnapshot work;
 
     /** Scheduling-dependent accounting: serve.latency_ns (+
-     *  dimensioned cells), serve.steals, serve.drops, serve.batches. */
+     *  dimensioned cells), serve.steals (calls a worker took off
+     *  another's shard), serve.drops. */
     obs::CounterSnapshot runtime;
 
     /** Merged per-call fast-path stats (also exported into work). */

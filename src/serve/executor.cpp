@@ -41,9 +41,8 @@ class Latch
 } // namespace
 
 Executor::Executor(const ExecutorConfig &config)
-    : queue_(config.shards != 0 ? config.shards
-                                : std::max(config.workers, 1u),
-             config.shardCapacity, config.policy)
+    : queue_(std::max(config.workers, 1u), config.shardCapacity,
+             config.policy)
 {
     const unsigned workers = std::max(config.workers, 1u);
     threads_.reserve(workers);
@@ -68,15 +67,9 @@ Executor::~Executor()
 }
 
 bool
-Executor::submit(unsigned home, Task task)
+Executor::submit(unsigned home, Task task, WaitClock::time_point until)
 {
-    return queue_.push(home, std::move(task));
-}
-
-bool
-Executor::trySubmit(unsigned home, Task &task)
-{
-    return queue_.tryPush(home, task);
+    return queue_.push(home, std::move(task), until);
 }
 
 void
@@ -84,10 +77,9 @@ Executor::runAll(std::size_t count,
                  const std::function<void(Worker &, std::size_t)> &fn)
 {
     Latch latch(count);
-    const unsigned shards = queue_.shardCount();
     for (std::size_t i = 0; i < count; ++i) {
         const bool queued =
-            submit(static_cast<unsigned>(i % shards),
+            submit(static_cast<unsigned>(i % workers()),
                    [&fn, &latch, i](Worker &worker) {
                        fn(worker, i);
                        latch.countDown();

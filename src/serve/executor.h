@@ -3,7 +3,7 @@
  * The serving layer's one worker pool.
  *
  * Three front ends run codec calls on threads: the fleet-replay engine
- * (engine.h) replays batches of a call stream, the cdpud daemon
+ * (engine.h) replays a call stream one call per task, the cdpud daemon
  * (daemon.h) serves live wire requests, and the container's
  * block-parallel decoder (container/container.h) fans out frame blocks.
  * All three are producers over an Executor: a long-lived pool of W
@@ -42,9 +42,8 @@ struct Worker
 struct ExecutorConfig
 {
     unsigned workers = 1;
-    /** Queue shards; 0 means one per worker. */
-    unsigned shards = 0;
-    /** Tasks a shard holds before producers feel backpressure. */
+    /** Tasks a worker's shard holds before producers feel
+     *  backpressure. */
     std::size_t shardCapacity = 64;
     BackpressurePolicy policy = BackpressurePolicy::block;
 };
@@ -68,18 +67,16 @@ class Executor
         return static_cast<unsigned>(threads_.size());
     }
 
-    /** Queues @p task on shard (@p home % shards) with
+    /** Queues @p task on worker (@p home % workers)'s shard with
      *  ShardedWorkQueue::push() semantics: false, with @p task
-     *  destroyed, when the drop policy sheds it or the pool is closed. */
-    bool submit(unsigned home, Task task);
-
-    /** Non-blocking submit; false leaves @p task intact, so a
-     *  bounded-wait producer can retry the same task. */
-    bool trySubmit(unsigned home, Task &task);
+     *  destroyed, when the drop policy sheds it, a full shard stays
+     *  full until @p until, or the pool is closed. */
+    bool submit(unsigned home, Task task,
+                WaitClock::time_point until = kWaitForever);
 
     /**
      * Runs fn(worker, i) for every i in [0, @p count), task i homed on
-     * shard i % shards, and returns once all of them have finished.
+     * worker i % workers, and returns once all of them have finished.
      * Tasks the queue refuses (drop policy) do not run. Never call it
      * from a task of the same pool: that task would wait on itself.
      */
@@ -87,8 +84,8 @@ class Executor
                 const std::function<void(Worker &, std::size_t)> &fn);
 
     /** Stops intake, lets the workers finish every queued task, and
-     *  joins them. Idempotent. Every later submit is refused; a
-     *  submit racing close() is the caller's bug. */
+     *  joins them. Idempotent. A submit still waiting for room, and
+     *  every later one, is refused. */
     void close();
 
     /** The process-wide pool of @p workers threads (clamped to >= 1),

@@ -2,57 +2,13 @@
 
 #include <cstring>
 
+#include "common/le.h"
+
 namespace cdpu::serve
 {
 
 namespace
 {
-
-void
-putU16(Bytes &out, u16 value)
-{
-    out.push_back(static_cast<u8>(value & 0xff));
-    out.push_back(static_cast<u8>(value >> 8));
-}
-
-void
-putU32(Bytes &out, u32 value)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<u8>(value >> shift));
-}
-
-void
-putU64(Bytes &out, u64 value)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<u8>(value >> shift));
-}
-
-u16
-getU16(ByteSpan data, std::size_t pos)
-{
-    return static_cast<u16>(data[pos] |
-                            (static_cast<u16>(data[pos + 1]) << 8));
-}
-
-u32
-getU32(ByteSpan data, std::size_t pos)
-{
-    u32 value = 0;
-    for (int i = 3; i >= 0; --i)
-        value = (value << 8) | data[pos + static_cast<std::size_t>(i)];
-    return value;
-}
-
-u64
-getU64(ByteSpan data, std::size_t pos)
-{
-    u64 value = 0;
-    for (int i = 7; i >= 0; --i)
-        value = (value << 8) | data[pos + static_cast<std::size_t>(i)];
-    return value;
-}
 
 bool
 specCharOk(u8 c)
@@ -101,18 +57,17 @@ encodeRequest(const WireRequest &request)
     Bytes out;
     out.reserve(kRequestHeaderBytes + request.codecSpec.size() +
                 request.payload.size());
-    out.insert(out.end(), std::begin(kRequestMagic),
-               std::end(kRequestMagic));
+    out.assign(std::begin(kRequestMagic), std::end(kRequestMagic));
     out.push_back(kWireVersion);
     out.push_back(request.direction == codec::Direction::compress ? 0
                                                                   : 1);
-    putU16(out, static_cast<u16>(request.codecSpec.size()));
-    putU64(out, request.requestId);
-    putU64(out, request.tenantId);
-    putU32(out, static_cast<u32>(request.level));
-    putU32(out, request.windowLog);
-    putU64(out, request.deadlineNs);
-    putU32(out, static_cast<u32>(request.payload.size()));
+    putLe<u16>(out, static_cast<u16>(request.codecSpec.size()));
+    putLe<u64>(out, request.requestId);
+    putLe<u64>(out, request.tenantId);
+    putLe<u32>(out, static_cast<u32>(request.level));
+    putLe<u32>(out, request.windowLog);
+    putLe<u64>(out, request.deadlineNs);
+    putLe<u32>(out, static_cast<u32>(request.payload.size()));
     out.insert(out.end(), request.codecSpec.begin(),
                request.codecSpec.end());
     out.insert(out.end(), request.payload.begin(),
@@ -126,14 +81,13 @@ encodeResponse(const WireResponse &response)
     Bytes out;
     out.reserve(kResponseHeaderBytes + response.message.size() +
                 response.payload.size());
-    out.insert(out.end(), std::begin(kResponseMagic),
-               std::end(kResponseMagic));
+    out.assign(std::begin(kResponseMagic), std::end(kResponseMagic));
     out.push_back(kWireVersion);
     out.push_back(static_cast<u8>(response.code));
-    putU16(out, static_cast<u16>(response.message.size()));
-    putU64(out, response.requestId);
-    putU32(out, static_cast<u32>(response.payload.size()));
-    putU64(out, response.serviceNs);
+    putLe<u16>(out, static_cast<u16>(response.message.size()));
+    putLe<u64>(out, response.requestId);
+    putLe<u32>(out, static_cast<u32>(response.payload.size()));
+    putLe<u64>(out, response.serviceNs);
     out.insert(out.end(), response.message.begin(),
                response.message.end());
     out.insert(out.end(), response.payload.begin(),
@@ -164,14 +118,14 @@ parseRequestHeader(ByteSpan header, const WireLimits &limits)
     RequestHeader parsed;
     parsed.direction = direction == 0 ? codec::Direction::compress
                                       : codec::Direction::decompress;
-    parsed.specBytes = getU16(header, RequestField::specBytes);
-    parsed.requestId = getU64(header, RequestField::requestId);
-    parsed.tenantId = getU64(header, RequestField::tenantId);
+    parsed.specBytes = getLe<u16>(header, RequestField::specBytes);
+    parsed.requestId = getLe<u64>(header, RequestField::requestId);
+    parsed.tenantId = getLe<u64>(header, RequestField::tenantId);
     parsed.level =
-        static_cast<i32>(getU32(header, RequestField::level));
-    parsed.windowLog = getU32(header, RequestField::windowLog);
-    parsed.deadlineNs = getU64(header, RequestField::deadlineNs);
-    parsed.payloadBytes = getU32(header, RequestField::payloadBytes);
+        static_cast<i32>(getLe<u32>(header, RequestField::level));
+    parsed.windowLog = getLe<u32>(header, RequestField::windowLog);
+    parsed.deadlineNs = getLe<u64>(header, RequestField::deadlineNs);
+    parsed.payloadBytes = getLe<u32>(header, RequestField::payloadBytes);
 
     if (parsed.specBytes == 0)
         return Status::corrupt("empty codec spec");
@@ -261,10 +215,10 @@ parseResponseHeader(ByteSpan header, const WireLimits &limits)
 
     ResponseHeader parsed;
     parsed.code = static_cast<WireCode>(header[5]);
-    parsed.messageBytes = getU16(header, 6);
-    parsed.requestId = getU64(header, 8);
-    parsed.payloadBytes = getU32(header, 16);
-    parsed.serviceNs = getU64(header, 20);
+    parsed.messageBytes = getLe<u16>(header, 6);
+    parsed.requestId = getLe<u64>(header, 8);
+    parsed.payloadBytes = getLe<u32>(header, 16);
+    parsed.serviceNs = getLe<u64>(header, 20);
 
     if (parsed.messageBytes > limits.maxMessageBytes)
         return Status::corrupt(

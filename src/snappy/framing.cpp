@@ -1,6 +1,9 @@
 #include "snappy/framing.h"
 
+#include <algorithm>
+
 #include "common/crc32c.h"
+#include "common/le.h"
 #include "snappy/decompress.h"
 
 namespace cdpu::snappy
@@ -9,7 +12,12 @@ namespace cdpu::snappy
 namespace
 {
 
-const char kStreamIdentifier[] = "sNaPpY";
+/** The chunk every framed stream starts with: the stream-identifier
+ *  type, a 3-byte length of 6, then the identifier itself. */
+constexpr u8 kStreamIdentifierChunk[] = {
+    static_cast<u8>(ChunkType::streamIdentifier), 6, 0, 0,
+    's', 'N', 'a', 'P', 'p', 'Y'};
+constexpr ByteSpan kStreamIdentifier(kStreamIdentifierChunk + 4, 6);
 
 void
 putChunkHeader(Bytes &out, ChunkType type, std::size_t length)
@@ -20,28 +28,12 @@ putChunkHeader(Bytes &out, ChunkType type, std::size_t length)
     out.push_back(static_cast<u8>((length >> 16) & 0xff));
 }
 
-void
-putLe32(Bytes &out, u32 value)
-{
-    for (unsigned i = 0; i < 4; ++i)
-        out.push_back(static_cast<u8>(value >> (8 * i)));
-}
-
-u32
-getLe32(ByteSpan data, std::size_t pos)
-{
-    u32 value = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        value |= static_cast<u32>(data[pos + i]) << (8 * i);
-    return value;
-}
-
 } // namespace
 
 FrameWriter::FrameWriter()
+    : out_(std::begin(kStreamIdentifierChunk),
+           std::end(kStreamIdentifierChunk))
 {
-    putChunkHeader(out_, ChunkType::streamIdentifier, 6);
-    out_.insert(out_.end(), kStreamIdentifier, kStreamIdentifier + 6);
 }
 
 void
@@ -69,12 +61,12 @@ FrameWriter::emitChunk(ByteSpan payload)
     if (compressed.size() < payload.size()) {
         putChunkHeader(out_, ChunkType::compressedData,
                        4 + compressed.size());
-        putLe32(out_, masked);
+        putLe<u32>(out_, masked);
         out_.insert(out_.end(), compressed.begin(), compressed.end());
     } else {
         putChunkHeader(out_, ChunkType::uncompressedData,
                        4 + payload.size());
-        putLe32(out_, masked);
+        putLe<u32>(out_, masked);
         out_.insert(out_.end(), payload.begin(), payload.end());
     }
 }
@@ -96,9 +88,8 @@ FrameWriter::finishInto(Bytes &out)
         pending_.clear();
     }
     out.insert(out.end(), out_.begin(), out_.end());
-    out_.clear();
-    putChunkHeader(out_, ChunkType::streamIdentifier, 6);
-    out_.insert(out_.end(), kStreamIdentifier, kStreamIdentifier + 6);
+    out_.assign(std::begin(kStreamIdentifierChunk),
+                std::end(kStreamIdentifierChunk));
 }
 
 Bytes
@@ -113,8 +104,7 @@ Status
 FrameReader::processChunk(u8 type_byte, ByteSpan body)
 {
     if (type_byte == static_cast<u8>(ChunkType::streamIdentifier)) {
-        if (body.size() != 6 ||
-            !std::equal(body.begin(), body.end(), kStreamIdentifier)) {
+        if (!std::ranges::equal(body, kStreamIdentifier)) {
             return Status::corrupt("bad stream identifier");
         }
         sawIdentifier_ = true;
@@ -126,7 +116,7 @@ FrameReader::processChunk(u8 type_byte, ByteSpan body)
     switch (type_byte) {
       case static_cast<u8>(ChunkType::compressedData): {
         // The CRC field alone needs 4 bytes; a lying chunk-length
-        // header must not let getLe32 read past the body.
+        // header must not let getLe read past the body.
         if (body.size() < 4)
             return Status::corrupt("compressed chunk too short");
         // Bound the chunk before decoding it: the 24-bit chunk length
@@ -141,7 +131,7 @@ FrameReader::processChunk(u8 type_byte, ByteSpan body)
             return claimed.status();
         if (claimed.value() > kMaxChunkPayload)
             return Status::corrupt("chunk exceeds 64 KiB limit");
-        u32 expected = unmaskCrc(getLe32(body, 0));
+        u32 expected = unmaskCrc(getLe<u32>(body, 0));
         CDPU_RETURN_IF_ERROR(decompressInto(body.subspan(4), scratch_));
         if (scratch_.size() > kMaxChunkPayload)
             return Status::corrupt("chunk exceeds 64 KiB limit");
@@ -156,7 +146,7 @@ FrameReader::processChunk(u8 type_byte, ByteSpan body)
         ByteSpan payload = body.subspan(4);
         if (payload.size() > kMaxChunkPayload)
             return Status::corrupt("chunk exceeds 64 KiB limit");
-        if (crc32c(payload) != unmaskCrc(getLe32(body, 0)))
+        if (crc32c(payload) != unmaskCrc(getLe<u32>(body, 0)))
             return Status::corrupt("chunk CRC mismatch");
         out_.insert(out_.end(), payload.begin(), payload.end());
         break;

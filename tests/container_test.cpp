@@ -59,8 +59,9 @@ expectParallelMatchesSequential(ByteSpan frame,
         ASSERT_TRUE(ss.ok()) << ss.toString();
         EXPECT_EQ(sequential, *expect_payload);
     }
-    if (!ss.ok())
+    if (!ss.ok()) {
         EXPECT_TRUE(sequential.empty());
+    }
 
     for (unsigned workers : kWorkerCounts) {
         SCOPED_TRACE("workers=" + std::to_string(workers));

@@ -719,6 +719,55 @@ TEST(DaemonTest, GracefulDrainAnswersEveryAdmittedRequest)
     EXPECT_FALSE(eof.ok());
 }
 
+TEST(DaemonTest, DeadlineDrainAnswersARequestWaitingForRoomOnce)
+{
+    DaemonConfig config;
+    config.unixPath = testSocketPath("deadline-drain");
+    config.workers = 1;
+    config.shardCapacity = 1;
+    config.admission = AdmissionPolicy::deadline;
+    config.workerDelayNs = 50000000; // 50 ms per call.
+    Daemon daemon(config);
+    ASSERT_TRUE(daemon.start().ok());
+
+    Result<DaemonClient> client =
+        DaemonClient::connectToUnix(config.unixPath);
+    ASSERT_TRUE(client.ok());
+
+    // Call 1 runs, call 2 fills the one-deep shard, and the reader
+    // waits for room with call 3 when the drain begins. Its deadline
+    // is far off, so room appears first and it is admitted.
+    const u64 kCalls = 3;
+    const Bytes payload = samplePayload(256, 15);
+    for (u64 i = 1; i <= kCalls; ++i) {
+        WireRequest request = makeRequest(
+            i, "snappy", codec::Direction::compress, payload, 3, 17,
+            /*tenant=*/6);
+        request.deadlineNs = 60000000000ull; // 60 s.
+        ASSERT_TRUE(client.value().send(request).ok());
+    }
+    while (daemon.counters().at("serve.daemon.requests") < kCalls)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    DaemonReport report = daemon.drain();
+
+    std::set<u64> answered;
+    for (u64 i = 0; i < kCalls; ++i) {
+        Result<WireResponse> response = client.value().receive();
+        ASSERT_TRUE(response.ok()) << response.status().message();
+        EXPECT_TRUE(answered.insert(response.value().requestId).second);
+        EXPECT_EQ(response.value().code, WireCode::ok)
+            << wireCodeName(response.value().code);
+    }
+    EXPECT_EQ(answered.size(), kCalls);
+    Result<WireResponse> eof = client.value().receive();
+    EXPECT_FALSE(eof.ok()); // Nothing is answered twice.
+    EXPECT_EQ(report.requests, kCalls);
+    EXPECT_EQ(report.executed, kCalls);
+    EXPECT_EQ(report.deadlineRejected, 0u);
+    EXPECT_EQ(report.runtime.at("serve.daemon.shutdown_rejects"), 0u);
+}
+
 TEST(DaemonTest, DrainIsIdempotent)
 {
     DaemonConfig config;

@@ -77,8 +77,9 @@ expectPathsAgree(ByteSpan stream)
     ASSERT_EQ(fast.ok(), ref.ok())
         << "fast: " << fast.status().toString()
         << " ref: " << ref.status().toString();
-    if (fast.ok())
+    if (fast.ok()) {
         EXPECT_EQ(fast.value(), ref.value());
+    }
 }
 
 TEST(SnappyFastPathFuzz, MatchesElementPathAcrossCorpora)

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
-#include <set>
 
 #include "codec/obs_bridge.h"
 #include "codec/registry.h"
@@ -398,20 +397,23 @@ TEST(InjectorTest, EveryClassChangesOnlyWhatItAims)
         EXPECT_GT(c.grammar(c.frame).boundaries.size(), 2u);
         for (MutationClass cls : allMutationClasses()) {
             SCOPED_TRACE(mutationClassName(cls));
-            std::set<Bytes> distinct;
+            Bytes first; // Seed 0's mutant.
+            bool steered = false;
             u64 unchanged = 0;
             for (u64 seed = 0; seed < 64 && !HasFatalFailure(); ++seed) {
                 const Bytes mutant =
                     mutateFrame(c.frame, c.grammar, cls, seed, c.donor);
                 EXPECT_EQ(mutant, mutateFrame(c.frame, c.grammar, cls,
                                               seed, c.donor));
-                distinct.insert(mutant);
+                if (seed == 0)
+                    first = mutant;
+                steered = steered || mutant != first;
                 unchanged += mutant == c.frame;
                 expectAimed(c, cls, mutant);
             }
             // Seeds steer every class, and none leaves most frames
             // alone.
-            EXPECT_GT(distinct.size(), 1u);
+            EXPECT_TRUE(steered);
             EXPECT_LT(unchanged, 32u);
         }
     }

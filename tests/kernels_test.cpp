@@ -69,8 +69,9 @@ TEST(KernelTierTest, SetActiveTierRejectsUnavailable)
             available = available || t == tier;
         Status set = kernels::setActiveTier(tier);
         EXPECT_EQ(set.ok(), available) << kernels::tierName(tier);
-        if (available)
+        if (available) {
             EXPECT_EQ(kernels::activeTier(), tier);
+        }
     }
 }
 

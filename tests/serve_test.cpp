@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "codec/obs_bridge.h"
 #include "codec/registry.h"
@@ -29,6 +31,33 @@ namespace
 {
 
 // --- ShardedWorkQueue -------------------------------------------------
+
+/** A queue item that counts its destructions (moved-from shells
+ *  aside), so a test can see a refused push destroy what it held. */
+class Tracked
+{
+  public:
+    Tracked() = default;
+    explicit Tracked(std::atomic<int> *deaths) : deaths_(deaths) {}
+    Tracked(Tracked &&other) noexcept
+        : deaths_(std::exchange(other.deaths_, nullptr))
+    {
+    }
+    Tracked &
+    operator=(Tracked &&other) noexcept
+    {
+        std::swap(deaths_, other.deaths_);
+        return *this;
+    }
+    ~Tracked()
+    {
+        if (deaths_)
+            deaths_->fetch_add(1);
+    }
+
+  private:
+    std::atomic<int> *deaths_ = nullptr;
+};
 
 TEST(ShardedWorkQueueTest, FifoWithinShard)
 {
@@ -53,27 +82,67 @@ TEST(ShardedWorkQueueTest, DropPolicyRejectsWhenFull)
     EXPECT_TRUE(queue.push(0, 2));
     EXPECT_FALSE(queue.push(0, 3)); // shard 0 full -> shed
     EXPECT_TRUE(queue.push(1, 4));  // shard 1 untouched
-    EXPECT_EQ(queue.pendingApprox(), 3);
+    int item = 0;
+    int popped = 0;
+    while (queue.tryPop(0, item))
+        ++popped;
+    EXPECT_EQ(popped, 3);
 }
 
-TEST(ShardedWorkQueueTest, TryPushLeavesTheItemIntactOnFailure)
+TEST(ShardedWorkQueueTest, BoundedPushRefusesOnceItsBoundPasses)
 {
-    // The daemon's deadline admission retries tryPush until the
-    // request's deadline expires; a failed attempt must not consume
-    // the job (push() takes by value and would destroy it).
-    ShardedWorkQueue<std::string> queue(1, 1,
-                                        BackpressurePolicy::drop);
-    std::string keep = "payload-survives-rejection";
-    EXPECT_TRUE(queue.tryPush(0, keep)); // Moved in: shard now full.
-    keep = "payload-survives-rejection";
-    EXPECT_FALSE(queue.tryPush(0, keep));
-    EXPECT_EQ(keep, "payload-survives-rejection");
+    std::atomic<int> deaths{0};
+    ShardedWorkQueue<Tracked> queue(2, 1, BackpressurePolicy::block);
+    EXPECT_TRUE(queue.push(0, Tracked(&deaths)));
 
-    std::string out;
-    EXPECT_TRUE(queue.tryPop(0, out));
-    EXPECT_TRUE(queue.tryPush(0, keep)); // Room again: move succeeds.
+    const auto bound = std::chrono::milliseconds(20);
+    const auto started = WaitClock::now();
+    EXPECT_FALSE(queue.push(0, Tracked(&deaths), started + bound));
+    EXPECT_GE(WaitClock::now() - started, bound); // it waited it out
+    EXPECT_EQ(deaths.load(), 1); // the refused item, not the queued one
+
+    // A shard with room takes the item even when the bound has passed.
+    EXPECT_TRUE(queue.push(1, Tracked(&deaths), started));
+    EXPECT_EQ(deaths.load(), 1);
+}
+
+TEST(ShardedWorkQueueTest, BoundedPushSucceedsWhenRoomAppearsInTime)
+{
+    ShardedWorkQueue<int> queue(1, 1, BackpressurePolicy::block);
+    EXPECT_TRUE(queue.push(0, 1));
+    std::thread consumer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        int item = 0;
+        EXPECT_TRUE(queue.pop(0, item));
+        EXPECT_EQ(item, 1);
+    });
+    EXPECT_TRUE(
+        queue.push(0, 2, WaitClock::now() + std::chrono::seconds(60)));
+    consumer.join();
+    int item = 0;
+    EXPECT_TRUE(queue.tryPop(0, item));
+    EXPECT_EQ(item, 2);
+}
+
+TEST(ShardedWorkQueueTest, CloseRefusesAPushWaitingWithoutABound)
+{
+    std::atomic<int> deaths{0};
+    ShardedWorkQueue<Tracked> queue(1, 1, BackpressurePolicy::block);
+    EXPECT_TRUE(queue.push(0, Tracked(&deaths)));
+    std::atomic<bool> accepted{true};
+    std::thread producer(
+        [&] { accepted = queue.push(0, Tracked(&deaths)); });
+    // Give the producer time to park on the full shard; close() must
+    // wake it either way.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
     queue.close();
-    EXPECT_FALSE(queue.tryPush(0, out)); // Closed always rejects.
+    producer.join();
+    EXPECT_FALSE(accepted.load());
+    EXPECT_EQ(deaths.load(), 1);
+
+    Tracked item;
+    EXPECT_TRUE(queue.pop(0, item)); // the accepted item still drains
+    EXPECT_FALSE(queue.pop(0, item));
 }
 
 TEST(ShardedWorkQueueTest, StealsFromOtherShards)
@@ -229,6 +298,32 @@ TEST(ExecutorTest, CloseRunsEverySubmittedTaskThenRefuses)
     EXPECT_FALSE(executor.submit(0, [&](Worker &) { ++ran; }));
     executor.close(); // idempotent
     EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(ExecutorTest, BoundedSubmitRefusesOnceItsBoundPasses)
+{
+    ExecutorConfig config;
+    config.workers = 1;
+    config.shardCapacity = 1;
+    Executor executor(config);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::promise<void> running;
+    std::atomic<int> ran{0};
+    // The worker holds the first task, the second fills the shard.
+    ASSERT_TRUE(executor.submit(0, [&](Worker &) {
+        running.set_value();
+        released.wait();
+        ++ran;
+    }));
+    running.get_future().wait();
+    ASSERT_TRUE(executor.submit(0, [&](Worker &) { ++ran; }));
+    EXPECT_FALSE(executor.submit(
+        0, [&](Worker &) { ran += 100; },
+        WaitClock::now() + std::chrono::milliseconds(10)));
+    release.set_value();
+    executor.close();
+    EXPECT_EQ(ran.load(), 2); // the refused task never ran
 }
 
 TEST(ExecutorTest, SharedPoolIsReusedPerWorkerCount)
@@ -517,7 +612,7 @@ TEST(CodecContextTest, FailedCallDoesNotPoisonReusedScratch)
     EXPECT_EQ(Bytes(out.begin(), out.end()), expected);
 }
 
-TEST(ReplayEngineTest, SmallBatchesAndFewShardsStillMatch)
+TEST(ReplayEngineTest, TinyQueuesStillMatch)
 {
     auto stream = buildMixedStream(smallStreamConfig());
     ASSERT_TRUE(stream.ok());
@@ -525,8 +620,6 @@ TEST(ReplayEngineTest, SmallBatchesAndFewShardsStillMatch)
 
     EngineConfig config;
     config.workers = 4;
-    config.shards = 2;     // more workers than shards: heavy stealing
-    config.batchSize = 1;  // max queue traffic
     config.shardCapacity = 2; // producer feels backpressure
     config.recordOutputs = true;
     ReplayEngine engine(config);
@@ -536,14 +629,13 @@ TEST(ReplayEngineTest, SmallBatchesAndFewShardsStillMatch)
 TEST(ReplayEngineTest, ShutdownDrainExecutesEveryAcceptedCall)
 {
     // Block policy + tiny queue: the producer stalls repeatedly and
-    // close() arrives while workers still hold queued batches. Every
+    // close() arrives while workers still hold queued calls. Every
     // call must still execute exactly once.
     auto stream = buildMixedStream(smallStreamConfig());
     ASSERT_TRUE(stream.ok());
     EngineConfig config;
     config.workers = 2;
     config.shardCapacity = 1;
-    config.batchSize = 3;
     ReplayEngine engine(config);
     ReplayReport report = engine.run(stream.value());
     EXPECT_EQ(report.executed, stream.value().size());
@@ -563,7 +655,6 @@ TEST(ReplayEngineTest, DropPolicyAccountingIsConsistent)
     config.workers = 2;
     config.policy = BackpressurePolicy::drop;
     config.shardCapacity = 1;
-    config.batchSize = 1;
     ReplayEngine engine(config);
     ReplayReport report = engine.run(stream.value());
 
@@ -766,27 +857,6 @@ TEST(ReplayTelemetryTest, FailedCallFreezesFlightDump)
 }
 
 // --- CallStream / appendSuite ----------------------------------------
-
-TEST(CallStreamTest, BatchesPartitionTheStream)
-{
-    hcb::CallStream stream;
-    for (int i = 0; i < 10; ++i)
-        stream.append(codec::CodecId::snappy,
-                      codec::Direction::compress,
-                      Bytes{static_cast<u8>(i)});
-    auto batches = stream.batches(4);
-    ASSERT_EQ(batches.size(), 3u);
-    EXPECT_EQ(batches[0].count, 4u);
-    EXPECT_EQ(batches[1].count, 4u);
-    EXPECT_EQ(batches[2].count, 2u);
-    std::size_t covered = 0;
-    for (const auto &batch : batches) {
-        for (std::size_t i = 0; i < batch.count; ++i)
-            EXPECT_EQ(batch.calls[i].id, covered + i);
-        covered += batch.count;
-    }
-    EXPECT_EQ(covered, stream.size());
-}
 
 TEST(CallStreamTest, AppendSuitePreCompressesDecompressCalls)
 {
