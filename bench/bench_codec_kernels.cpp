@@ -471,13 +471,18 @@ attachStageCounters(benchmark::State &state,
     }
 }
 
+/** Input size of the BM_Codec/<name>/small_* rows. */
+constexpr std::size_t kSmallCallBytes = 2 * kKiB;
+
 /** Whole-buffer round trip through the registry vtable at the codec's
- *  default parameters — the same entry points the serve layer uses. */
+ *  default parameters — the same entry points the serve layer uses —
+ *  on @p bytes of text. */
 void
-runRegistryCompress(benchmark::State &state, codec::CodecId id)
+runRegistryCompress(benchmark::State &state, codec::CodecId id,
+                    std::size_t bytes)
 {
     const codec::CodecVTable &vtable = codec::registry(id);
-    Bytes data = makeData(0, 256 * kKiB); // text
+    Bytes data = makeData(0, bytes); // text
     const codec::CodecParams params = vtable.caps.clamp(
         vtable.caps.defaultLevel, vtable.caps.defaultWindowLog);
     const transform::StageStats stages_before =
@@ -493,10 +498,11 @@ runRegistryCompress(benchmark::State &state, codec::CodecId id)
 }
 
 void
-runRegistryDecompress(benchmark::State &state, codec::CodecId id)
+runRegistryDecompress(benchmark::State &state, codec::CodecId id,
+                      std::size_t bytes)
 {
     const codec::CodecVTable &vtable = codec::registry(id);
-    Bytes data = makeData(0, 256 * kKiB);
+    Bytes data = makeData(0, bytes);
     const codec::CodecParams params = vtable.caps.clamp(
         vtable.caps.defaultLevel, vtable.caps.defaultWindowLog);
     Bytes compressed;
@@ -596,12 +602,24 @@ registerRegistryBenchmarks()
         benchmark::RegisterBenchmark(
             ("BM_Codec/" + name + "/compress").c_str(),
             [id](benchmark::State &state) {
-                runRegistryCompress(state, id);
+                runRegistryCompress(state, id, 256 * kKiB);
             });
         benchmark::RegisterBenchmark(
             ("BM_Codec/" + name + "/decompress").c_str(),
             [id](benchmark::State &state) {
-                runRegistryDecompress(state, id);
+                runRegistryDecompress(state, id, 256 * kKiB);
+            });
+        // Small calls (the paper's §3.5 regime), where per-call table
+        // and buffer setup outweighs the work on the bytes.
+        benchmark::RegisterBenchmark(
+            ("BM_Codec/" + name + "/small_compress").c_str(),
+            [id](benchmark::State &state) {
+                runRegistryCompress(state, id, kSmallCallBytes);
+            });
+        benchmark::RegisterBenchmark(
+            ("BM_Codec/" + name + "/small_decompress").c_str(),
+            [id](benchmark::State &state) {
+                runRegistryDecompress(state, id, kSmallCallBytes);
             });
         benchmark::RegisterBenchmark(
             ("BM_Codec/" + name + "/stream_decompress").c_str(),

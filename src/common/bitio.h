@@ -22,6 +22,7 @@
 #ifndef CDPU_COMMON_BITIO_H_
 #define CDPU_COMMON_BITIO_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -53,10 +54,13 @@ bitWindow(const u8 *data, std::size_t size, u64 start)
 /**
  * Accumulates bits LSB-first into a byte buffer.
  *
- * Bits are appended into a 64-bit accumulator and flushed to the output a
- * byte at a time. finish() pads the final partial byte with a terminating
- * 1-bit followed by zeros, exactly like zstd's bitstream, so a backward
- * reader can locate the last valid bit.
+ * Bits are appended into a 64-bit accumulator. Every put() stores the
+ * whole accumulator at a byte cursor with one unaligned 8-byte store
+ * and moves the cursor past the bytes it completed, so there is no
+ * branch on whether a byte completed. The buffer is kept at least 8
+ * bytes past the cursor, and finish() trims it. finish() pads the final
+ * partial byte with a terminating 1-bit followed by zeros, exactly like
+ * zstd's bitstream, so a backward reader can locate the last valid bit.
  */
 class BitWriter
 {
@@ -69,15 +73,18 @@ class BitWriter
         assert(nbits == 64 || (value >> nbits) == 0);
         acc_ |= value << filled_;
         filled_ += nbits;
-        while (filled_ >= 8) {
-            bytes_.push_back(static_cast<u8>(acc_));
-            acc_ >>= 8;
-            filled_ -= 8;
-        }
+        if (pos_ + 8 > bytes_.size())
+            bytes_.resize(std::max<std::size_t>(2 * bytes_.size(),
+                                                pos_ + 64));
+        mem::storeU64(bytes_.data() + pos_, acc_);
+        const unsigned whole = filled_ & ~7u; // <= 56: filled_ <= 7 + 56
+        pos_ += whole / 8;
+        acc_ >>= whole;
+        filled_ -= whole;
     }
 
     /** Number of bits written so far (excluding the terminator). */
-    u64 bitCount() const { return bytes_.size() * 8 + filled_; }
+    u64 bitCount() const { return u64{pos_} * 8 + filled_; }
 
     /**
      * Terminates the stream with a marker 1-bit and returns the bytes.
@@ -87,18 +94,19 @@ class BitWriter
     finish()
     {
         put(1, 1);
-        if (filled_ > 0) {
-            bytes_.push_back(static_cast<u8>(acc_));
-            acc_ = 0;
-            filled_ = 0;
-        }
+        // That put() already stored the partial last byte at the cursor.
+        bytes_.resize(pos_ + (filled_ > 0 ? 1 : 0));
         Bytes out = std::move(bytes_);
         bytes_.clear();
+        pos_ = 0;
+        acc_ = 0;
+        filled_ = 0;
         return out;
     }
 
   private:
-    Bytes bytes_;
+    Bytes bytes_; ///< Sized past pos_; bytes from pos_ on are scratch.
+    std::size_t pos_ = 0;
     u64 acc_ = 0;
     unsigned filled_ = 0;
 };

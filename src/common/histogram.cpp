@@ -84,22 +84,4 @@ WeightedHistogram::ksDistance(const WeightedHistogram &a,
     return dmax;
 }
 
-unsigned
-ceilLog2(u64 v)
-{
-    if (v <= 1)
-        return 0;
-    unsigned bits = floorLog2(v);
-    return ((v & (v - 1)) == 0) ? bits : bits + 1;
-}
-
-unsigned
-floorLog2(u64 v)
-{
-    unsigned bits = 0;
-    while (v >>= 1)
-        ++bits;
-    return bits;
-}
-
 } // namespace cdpu

@@ -5,14 +5,13 @@
 namespace cdpu::fse
 {
 
-std::vector<u8>
-spreadSymbols(const NormalizedCounts &norm)
+void
+spreadSymbols(const NormalizedCounts &norm, u8 *spread)
 {
     const std::size_t size = std::size_t{1} << norm.tableLog;
     const std::size_t mask = size - 1;
     const std::size_t step = (size >> 1) + (size >> 3) + 3;
 
-    std::vector<u8> spread(size, 0);
     std::size_t pos = 0;
     for (std::size_t sym = 0; sym < norm.counts.size(); ++sym) {
         for (u32 i = 0; i < norm.counts[sym]; ++i) {
@@ -22,6 +21,13 @@ spreadSymbols(const NormalizedCounts &norm)
     }
     // The step is coprime with the power-of-two size, so the walk visits
     // every slot exactly once and ends where it started.
+}
+
+std::vector<u8>
+spreadSymbols(const NormalizedCounts &norm)
+{
+    std::vector<u8> spread(std::size_t{1} << norm.tableLog, 0);
+    spreadSymbols(norm, spread.data());
     return spread;
 }
 

@@ -55,6 +55,13 @@ struct EncodeTable
  */
 std::vector<u8> spreadSymbols(const NormalizedCounts &norm);
 
+/**
+ * The same spread written to @p spread, which holds 1 << norm.tableLog
+ * bytes: the form for callers that keep the table on the stack.
+ * @pre The counts sum to 1 << norm.tableLog.
+ */
+void spreadSymbols(const NormalizedCounts &norm, u8 *spread);
+
 /** Builds the decoder table from normalized counts. */
 Result<DecodeTable> buildDecodeTable(const NormalizedCounts &norm);
 

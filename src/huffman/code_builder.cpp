@@ -1,7 +1,6 @@
 #include "huffman/code_builder.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace cdpu::huffman
 {
@@ -41,69 +40,87 @@ reverseBits(u16 v, unsigned nbits)
 namespace
 {
 
-/** Computes raw (unlimited) Huffman code lengths via a pairing heap. */
+/**
+ * Computes raw (unlimited) Huffman code lengths with the two-queue
+ * merge. Leaves are numbered in symbol order and queue sorted by
+ * (weight, node number); internal nodes are numbered after every leaf
+ * and queue in creation order, where merged weights never decrease.
+ * The smaller (weight, node number) of the two heads is therefore
+ * exactly what a min-heap over every live node would pop, so the tree,
+ * and every length, is the heap construction's.
+ */
 std::vector<u8>
 rawLengths(const std::vector<u64> &freqs)
 {
-    struct Node
+    struct Leaf
     {
         u64 weight;
-        i32 parent = -1;
-        u8 depth = 0;
+        u32 symbol;
     };
-    std::vector<Node> nodes;
-    std::vector<std::size_t> leaf_node; // symbol -> node index
-    leaf_node.assign(freqs.size(), static_cast<std::size_t>(-1));
+    std::vector<Leaf> leaves;
+    leaves.reserve(freqs.size());
+    for (std::size_t sym = 0; sym < freqs.size(); ++sym)
+        if (freqs[sym] != 0)
+            leaves.push_back({freqs[sym], static_cast<u32>(sym)});
+    const std::size_t count = leaves.size();
 
-    using HeapItem = std::pair<u64, std::size_t>; // (weight, node index)
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>> heap;
-
-    for (std::size_t sym = 0; sym < freqs.size(); ++sym) {
-        if (freqs[sym] == 0)
-            continue;
-        leaf_node[sym] = nodes.size();
-        nodes.push_back({freqs[sym]});
-        heap.push({freqs[sym], nodes.size() - 1});
-    }
-
-    if (nodes.size() == 1) {
+    std::vector<u8> lengths(freqs.size(), 0);
+    if (count == 1) {
         // Degenerate single-symbol alphabet: one 1-bit code.
-        std::vector<u8> lengths(freqs.size(), 0);
-        for (std::size_t sym = 0; sym < freqs.size(); ++sym)
-            if (freqs[sym] != 0)
-                lengths[sym] = 1;
+        lengths[leaves[0].symbol] = 1;
         return lengths;
     }
 
-    while (heap.size() > 1) {
-        auto [wa, a] = heap.top();
-        heap.pop();
-        auto [wb, b] = heap.top();
-        heap.pop();
-        std::size_t parent = nodes.size();
-        nodes.push_back({wa + wb});
-        nodes[a].parent = static_cast<i32>(parent);
-        nodes[b].parent = static_cast<i32>(parent);
-        heap.push({wa + wb, parent});
+    // Leaf numbers follow symbol order, so (weight, symbol) order is
+    // (weight, node number) order.
+    std::sort(leaves.begin(), leaves.end(),
+              [](const Leaf &a, const Leaf &b) {
+                  return a.weight != b.weight ? a.weight < b.weight
+                                              : a.symbol < b.symbol;
+              });
+
+    // Slots [0, count) are the sorted leaves, [count, 2 * count - 1)
+    // the internal nodes in creation order; the root comes last.
+    struct Node
+    {
+        u64 weight;
+        u32 parent;
+        u8 depth;
+    };
+    const std::size_t nodes = 2 * count - 1;
+    std::vector<Node> tree(nodes, Node{0, 0, 0});
+    for (std::size_t i = 0; i < count; ++i)
+        tree[i].weight = leaves[i].weight;
+    std::size_t next_leaf = 0;
+    std::size_t next_internal = count;
+    for (std::size_t created = count; created < nodes; ++created) {
+        // At equal weights the leaf goes first: every leaf's node
+        // number is below every internal node's.
+        const auto pop = [&]() -> std::size_t {
+            if (next_leaf < count &&
+                (next_internal == created ||
+                 tree[next_leaf].weight <= tree[next_internal].weight))
+                return next_leaf++;
+            return next_internal++;
+        };
+        const std::size_t a = pop();
+        const std::size_t b = pop();
+        tree[created].weight = tree[a].weight + tree[b].weight;
+        tree[a].parent = static_cast<u32>(created);
+        tree[b].parent = static_cast<u32>(created);
     }
 
-    // Depth of each leaf = code length. Walk parents top-down: parents
-    // always have higher indices than children, so iterate descending.
-    for (std::size_t i = nodes.size(); i-- > 0;) {
-        if (nodes[i].parent >= 0)
-            nodes[i].depth =
-                static_cast<u8>(nodes[nodes[i].parent].depth + 1);
-    }
-
-    std::vector<u8> lengths(freqs.size(), 0);
-    for (std::size_t sym = 0; sym < freqs.size(); ++sym)
-        if (leaf_node[sym] != static_cast<std::size_t>(-1))
-            lengths[sym] = nodes[leaf_node[sym]].depth;
+    // Depth of each leaf = code length. Parents sit above their
+    // children, so walk down from the root.
+    for (std::size_t i = nodes - 1; i-- > 0;)
+        tree[i].depth = static_cast<u8>(tree[tree[i].parent].depth + 1);
+    for (std::size_t i = 0; i < count; ++i)
+        lengths[leaves[i].symbol] = tree[i].depth;
     return lengths;
 }
 
-/** Clamps lengths to @p max_bits and repairs the Kraft sum. */
+} // namespace
+
 void
 limitLengths(std::vector<u8> &lengths, unsigned max_bits)
 {
@@ -158,8 +175,6 @@ limitLengths(std::vector<u8> &lengths, unsigned max_bits)
         --lengths[best];
     }
 }
-
-} // namespace
 
 Result<CodeTable>
 buildCodeTable(const std::vector<u64> &freqs, unsigned max_bits)

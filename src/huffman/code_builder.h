@@ -2,11 +2,12 @@
  * @file
  * Canonical, length-limited Huffman code construction.
  *
- * Codes are built from symbol frequencies with a binary-heap Huffman
- * tree, clamped to a maximum bit length (Kraft-sum repair, as zlib
- * does), and assigned canonically so a table can be reconstructed from
- * code lengths alone — which is exactly what the hardware Huffman Table
- * Builder unit (Section 5.3) consumes.
+ * Codes are built from symbol frequencies with a two-queue Huffman
+ * merge (the tree a binary heap would build), clamped to a maximum bit
+ * length (Kraft-sum repair, as zlib does), and assigned canonically so
+ * a table can be reconstructed from code lengths alone — which is
+ * exactly what the hardware Huffman Table Builder unit (Section 5.3)
+ * consumes.
  */
 
 #ifndef CDPU_HUFFMAN_CODE_BUILDER_H_
@@ -46,6 +47,13 @@ struct CodeTable
  */
 Result<CodeTable> buildCodeTable(const std::vector<u64> &freqs,
                                  unsigned max_bits = kDefaultMaxBits);
+
+/**
+ * Clamps code lengths to @p max_bits and repairs the Kraft sum,
+ * deterministically, so the lengths again describe a complete code.
+ * The length-limiting step of buildCodeTable().
+ */
+void limitLengths(std::vector<u8> &lengths, unsigned max_bits);
 
 /**
  * Reconstructs canonical codes from lengths alone (decoder side / table

@@ -1,5 +1,6 @@
 #include "zstdlite/sequences.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bitio.h"
@@ -34,13 +35,6 @@ makePredefined(std::size_t alphabet, unsigned table_log, double decay)
     // Static inputs; cannot fail.
     return norm.value();
 }
-
-struct SequenceTables
-{
-    fse::EncodeTable ll;
-    fse::EncodeTable of;
-    fse::EncodeTable ml;
-};
 
 Result<fse::NormalizedCounts>
 dynamicCounts(const std::vector<u8> &codes, std::size_t alphabet)
@@ -78,6 +72,33 @@ predefinedMLCounts()
         makePredefined(kNumMLCodes, 6, 0.82);
     return counts;
 }
+
+namespace
+{
+
+const fse::NormalizedCounts &
+predefinedCounts(CodeStream which)
+{
+    return which == kLL   ? predefinedLLCounts()
+           : which == kOF ? predefinedOFCounts()
+                          : predefinedMLCounts();
+}
+
+/** @p which's predefined encode table, built once per process. */
+const fse::EncodeTable &
+predefinedEncodeTable(CodeStream which)
+{
+    // The predefined counts sum to their table size, so the builds
+    // cannot fail.
+    static const std::array<fse::EncodeTable, 3> tables = {
+        fse::buildEncodeTable(predefinedCounts(kLL)).value(),
+        fse::buildEncodeTable(predefinedCounts(kOF)).value(),
+        fse::buildEncodeTable(predefinedCounts(kML)).value(),
+    };
+    return tables[which];
+}
+
+} // namespace
 
 Status
 encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
@@ -123,45 +144,36 @@ encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
     if (dynamic_out)
         *dynamic_out = dynamic;
 
-    fse::NormalizedCounts ll_norm;
-    fse::NormalizedCounts of_norm;
-    fse::NormalizedCounts ml_norm;
+    // Predefined tables come from the process-wide cache; dynamic ones
+    // are normalized, transmitted and built for this section.
+    std::array<fse::EncodeTable, 3> dynamic_tables;
+    std::array<const fse::EncodeTable *, 3> tables = {
+        &predefinedEncodeTable(kLL), &predefinedEncodeTable(kOF),
+        &predefinedEncodeTable(kML)};
+    const auto transmit = [&](CodeStream which,
+                              const std::vector<u8> &codes,
+                              std::size_t alphabet) -> Status {
+        auto norm = dynamicCounts(codes, alphabet);
+        if (!norm.ok())
+            return norm.status();
+        fse::serializeCounts(norm.value(), out);
+        auto built = fse::buildEncodeTable(norm.value());
+        if (!built.ok())
+            return built.status();
+        dynamic_tables[which] = std::move(built).value();
+        tables[which] = &dynamic_tables[which];
+        return Status::okStatus();
+    };
     if (dynamic) {
-        auto ll = dynamicCounts(ll_codes, kNumLLCodes);
-        auto of = dynamicCounts(of_codes, kNumOFCodes);
-        auto ml = dynamicCounts(ml_codes, kNumMLCodes);
-        if (!ll.ok())
-            return ll.status();
-        if (!of.ok())
-            return of.status();
-        if (!ml.ok())
-            return ml.status();
-        ll_norm = std::move(ll).value();
-        of_norm = std::move(of).value();
-        ml_norm = std::move(ml).value();
-        fse::serializeCounts(ll_norm, out);
-        fse::serializeCounts(of_norm, out);
-        fse::serializeCounts(ml_norm, out);
-    } else {
-        ll_norm = predefinedLLCounts();
-        of_norm = predefinedOFCounts();
-        ml_norm = predefinedMLCounts();
+        CDPU_RETURN_IF_ERROR(transmit(kLL, ll_codes, kNumLLCodes));
+        CDPU_RETURN_IF_ERROR(transmit(kOF, of_codes, kNumOFCodes));
+        CDPU_RETURN_IF_ERROR(transmit(kML, ml_codes, kNumMLCodes));
     }
 
-    auto ll_table = fse::buildEncodeTable(ll_norm);
-    auto of_table = fse::buildEncodeTable(of_norm);
-    auto ml_table = fse::buildEncodeTable(ml_norm);
-    if (!ll_table.ok())
-        return ll_table.status();
-    if (!of_table.ok())
-        return of_table.status();
-    if (!ml_table.ok())
-        return ml_table.status();
-
     BitWriter writer;
-    fse::Encoder ll_enc(ll_table.value());
-    fse::Encoder of_enc(of_table.value());
-    fse::Encoder ml_enc(ml_table.value());
+    fse::Encoder ll_enc(*tables[kLL]);
+    fse::Encoder of_enc(*tables[kOF]);
+    fse::Encoder ml_enc(*tables[kML]);
     for (std::size_t i = sequences.size(); i-- > 0;) {
         const auto &seq = sequences[i];
         writer.put(seq.literalLength - ll_bins[i].baseline,
@@ -186,16 +198,45 @@ encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
     return Status::okStatus();
 }
 
+SeqTable
+buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which)
+{
+    const std::size_t size = std::size_t{1} << norm.tableLog;
+    // Left uninitialized: the spread writes every one of the first
+    // `size` slots, and no other slot is read.
+    std::array<u8, std::size_t{1} << fse::kMaxTableLog> spread;
+    fse::spreadSymbols(norm, spread.data());
+
+    // Per symbol: its code's binning, and the sub-state x of its next
+    // occurrence, counting up from count[s] as in fse::buildDecodeTable.
+    constexpr std::size_t kMaxCodes =
+        std::max({kNumLLCodes, kNumOFCodes, kNumMLCodes});
+    std::array<CodeBin, kMaxCodes> bins{};
+    std::array<u32, kMaxCodes> next{};
+    for (std::size_t sym = 0; sym < norm.counts.size(); ++sym) {
+        const u8 code = static_cast<u8>(sym);
+        bins[sym] = which == kLL   ? literalLengthFromCode(code).value()
+                    : which == kOF ? offsetFromCode(code).value()
+                                   : matchLengthFromCode(code).value();
+        next[sym] = norm.counts[sym];
+    }
+
+    SeqTable table;
+    table.tableLog = norm.tableLog;
+    table.entries.resize(size);
+    for (std::size_t state = 0; state < size; ++state) {
+        const u8 sym = spread[state];
+        const u32 x = next[sym]++;
+        const u8 nb_bits = static_cast<u8>(norm.tableLog - floorLog2(x));
+        table.entries[state] = {
+            bins[sym].baseline, bins[sym].extraBits, nb_bits,
+            static_cast<u16>((x << nb_bits) - size)};
+    }
+    return table;
+}
+
 namespace
 {
-
-/** The three code streams, in the order their tables are transmitted. */
-enum CodeStream : unsigned
-{
-    kLL = 0,
-    kOF = 1,
-    kML = 2,
-};
 
 /** The parsed front of a sequences section, shared by the reference
  *  decoder and the fused executor so both reject the same headers. */
@@ -210,11 +251,7 @@ struct SectionHeader
     const fse::NormalizedCounts &
     norm(CodeStream which) const
     {
-        if (dynamic[which])
-            return counts[which];
-        return which == kLL   ? predefinedLLCounts()
-               : which == kOF ? predefinedOFCounts()
-                              : predefinedMLCounts();
+        return dynamic[which] ? counts[which] : predefinedCounts(which);
     }
 };
 
@@ -269,49 +306,6 @@ readSectionHeader(ByteSpan data, std::size_t &pos,
     return Status::okStatus();
 }
 
-/**
- * One FSE state with its code's value binning folded in (the idea of
- * zstd's ZSTD_seqSymbol): the state transition and the value's
- * baseline and extra bits in a single 8-byte load.
- */
-struct SeqSymbol
-{
-    u32 baseline = 0;
-    u8 extraBits = 0;
-    u8 nbBits = 0;
-    u16 nextStateBase = 0;
-};
-
-struct SeqTable
-{
-    std::vector<SeqSymbol> entries;
-    unsigned tableLog = 0;
-};
-
-/** @pre readSectionHeader() accepted @p norm for @p which's alphabet,
- *  so every symbol bins. */
-SeqTable
-buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which)
-{
-    // Counts that passed deserializeCounts sum to the table size, so
-    // the build cannot fail.
-    const fse::DecodeTable fse_table = fse::buildDecodeTable(norm).value();
-    SeqTable table;
-    table.tableLog = fse_table.tableLog;
-    table.entries.resize(fse_table.size());
-    for (std::size_t state = 0; state < fse_table.size(); ++state) {
-        const fse::DecodeEntry &entry = fse_table.entries[state];
-        const CodeBin bin = which == kLL
-                                ? literalLengthFromCode(entry.symbol).value()
-                            : which == kOF
-                                ? offsetFromCode(entry.symbol).value()
-                                : matchLengthFromCode(entry.symbol).value();
-        table.entries[state] = {bin.baseline, bin.extraBits, entry.nbBits,
-                                entry.nextStateBase};
-    }
-    return table;
-}
-
 /** The section's table for @p which: the process-wide predefined one,
  *  or one built into @p scratch from the transmitted counts. */
 const SeqTable &
@@ -319,9 +313,9 @@ seqTableFor(const SectionHeader &header, CodeStream which,
             SeqTable &scratch)
 {
     static const std::array<SeqTable, 3> predefined = {
-        buildSeqTable(predefinedLLCounts(), kLL),
-        buildSeqTable(predefinedOFCounts(), kOF),
-        buildSeqTable(predefinedMLCounts(), kML),
+        buildSeqTable(predefinedCounts(kLL), kLL),
+        buildSeqTable(predefinedCounts(kOF), kOF),
+        buildSeqTable(predefinedCounts(kML), kML),
     };
     if (!header.dynamic[which])
         return predefined[which];

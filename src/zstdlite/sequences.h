@@ -25,6 +25,47 @@ const fse::NormalizedCounts &predefinedLLCounts();
 const fse::NormalizedCounts &predefinedOFCounts();
 const fse::NormalizedCounts &predefinedMLCounts();
 
+/** The three code streams, in the order their tables are transmitted. */
+enum CodeStream : unsigned
+{
+    kLL = 0,
+    kOF = 1,
+    kML = 2,
+};
+
+/**
+ * One FSE state with its code's value binning folded in (the idea of
+ * zstd's ZSTD_seqSymbol): the state transition and the value's
+ * baseline and extra bits in a single 8-byte load.
+ */
+struct SeqSymbol
+{
+    u32 baseline = 0;
+    u8 extraBits = 0;
+    u8 nbBits = 0;
+    u16 nextStateBase = 0;
+
+    bool operator==(const SeqSymbol &) const = default;
+};
+
+/** The fused decoder's table for one code stream, indexed by state. */
+struct SeqTable
+{
+    std::vector<SeqSymbol> entries;
+    unsigned tableLog = 0;
+};
+
+/**
+ * Builds @p which's fused table from @p norm in one pass: the spread
+ * on the stack, each symbol binned once, every entry written once.
+ * Entry for entry it is fse::buildDecodeTable() with each symbol
+ * replaced by its code's baseline and extra bits.
+ * @pre @p norm sums to 1 << tableLog with tableLog <= fse::kMaxTableLog
+ *      and its alphabet fits @p which's code range, as
+ *      fse::deserializeCounts() and the section's alphabet check ensure.
+ */
+SeqTable buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which);
+
 /**
  * Encodes @p sequences as a sequences section appended to @p out.
  * Dynamic FSE tables are transmitted when the sequence count justifies

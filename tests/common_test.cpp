@@ -201,6 +201,70 @@ TEST(BitIoTest, BackwardUnderflowDetected)
     EXPECT_FALSE(reader.value().read(10).ok());
 }
 
+/** The oracle for BitWriter: the writer it replaced, which appended
+ *  each completed byte with push_back. */
+class ByteAtATimeWriter
+{
+  public:
+    void
+    put(u64 value, unsigned nbits)
+    {
+        acc_ |= value << filled_;
+        filled_ += nbits;
+        while (filled_ >= 8) {
+            bytes_.push_back(static_cast<u8>(acc_));
+            acc_ >>= 8;
+            filled_ -= 8;
+        }
+    }
+
+    u64 bitCount() const { return bytes_.size() * 8 + filled_; }
+
+    Bytes
+    finish()
+    {
+        put(1, 1);
+        if (filled_ > 0) {
+            bytes_.push_back(static_cast<u8>(acc_));
+            acc_ = 0;
+            filled_ = 0;
+        }
+        Bytes out = std::move(bytes_);
+        bytes_.clear();
+        return out;
+    }
+
+  private:
+    Bytes bytes_;
+    u64 acc_ = 0;
+    unsigned filled_ = 0;
+};
+
+TEST(BitIoTest, WriterMatchesByteAtATimeOracle)
+{
+    Rng rng(77);
+    for (int trial = 0; trial < 400; ++trial) {
+        BitWriter writer;
+        ByteAtATimeWriter oracle;
+        // Two streams per writer: the second checks reuse after finish().
+        for (int stream = 0; stream < 2; ++stream) {
+            const std::size_t puts = rng.below(trial % 4 == 0 ? 2000 : 40);
+            for (std::size_t i = 0; i < puts; ++i) {
+                const auto nbits = static_cast<unsigned>(rng.below(57));
+                const u64 value =
+                    nbits == 0 ? 0 : rng.next() >> (64 - nbits);
+                writer.put(value, nbits);
+                oracle.put(value, nbits);
+                ASSERT_EQ(writer.bitCount(), oracle.bitCount())
+                    << "trial " << trial << " put " << i;
+            }
+            ASSERT_EQ(writer.finish(), oracle.finish())
+                << "trial " << trial << " stream " << stream;
+            ASSERT_EQ(writer.bitCount(), 0u);
+        }
+    }
+}
+
 TEST(BitIoTest, BackwardRejectsMissingTerminator)
 {
     Bytes zeros(4, 0);
@@ -349,6 +413,32 @@ TEST(HistogramTest, KsDistanceDisjointIsOne)
     WeightedHistogram b;
     b.add(10, 1);
     EXPECT_DOUBLE_EQ(WeightedHistogram::ksDistance(a, b), 1);
+}
+
+TEST(HistogramTest, CeilFloorLog2MatchLoopDefinitions)
+{
+    // The shift-loop definitions the bit-width forms replaced.
+    const auto floor_loop = [](u64 v) {
+        unsigned bits = 0;
+        while (v >>= 1)
+            ++bits;
+        return bits;
+    };
+    const auto ceil_loop = [&](u64 v) {
+        if (v <= 1)
+            return 0u;
+        const unsigned bits = floor_loop(v);
+        return (v & (v - 1)) == 0 ? bits : bits + 1;
+    };
+    std::vector<u64> values = {0, 1, ~u64{0}};
+    for (unsigned k = 1; k < 64; ++k) {
+        const u64 p = u64{1} << k;
+        values.insert(values.end(), {p - 1, p, p + 1});
+    }
+    for (u64 v : values) {
+        EXPECT_EQ(floorLog2(v), floor_loop(v)) << v;
+        EXPECT_EQ(ceilLog2(v), ceil_loop(v)) << v;
+    }
 }
 
 TEST(HistogramTest, CeilFloorLog2)

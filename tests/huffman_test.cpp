@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <queue>
+#include <string>
 
 #include "corpus/generators.h"
 #include "huffman/decoder.h"
@@ -116,6 +119,110 @@ TEST(CodeBuilderTest, CodesFromLengthsRejectsIncomplete)
 {
     std::vector<u8> lengths = {2, 2, 2}; // Kraft sum 0.75
     EXPECT_FALSE(codesFromLengths(lengths).ok());
+}
+
+/**
+ * The oracle for buildCodeTable's lengths: the binary-heap Huffman
+ * construction it replaced. Leaves are numbered in symbol order,
+ * internal nodes in creation order after them, and the heap pops the
+ * smallest (weight, node number) pair; limitLengths then clamps.
+ */
+std::vector<u8>
+heapLengths(const std::vector<u64> &freqs, unsigned max_bits)
+{
+    struct Node
+    {
+        u64 weight;
+        i32 parent = -1;
+        u8 depth = 0;
+    };
+    std::vector<Node> nodes;
+    std::vector<std::size_t> leaf_node(freqs.size(),
+                                       static_cast<std::size_t>(-1));
+    using HeapItem = std::pair<u64, std::size_t>; // (weight, node)
+    std::priority_queue<HeapItem, std::vector<HeapItem>,
+                        std::greater<HeapItem>>
+        heap;
+    for (std::size_t sym = 0; sym < freqs.size(); ++sym) {
+        if (freqs[sym] == 0)
+            continue;
+        leaf_node[sym] = nodes.size();
+        nodes.push_back({freqs[sym]});
+        heap.push({freqs[sym], nodes.size() - 1});
+    }
+    std::vector<u8> lengths(freqs.size(), 0);
+    if (nodes.size() == 1) {
+        for (std::size_t sym = 0; sym < freqs.size(); ++sym)
+            if (freqs[sym] != 0)
+                lengths[sym] = 1;
+        return lengths;
+    }
+    while (heap.size() > 1) {
+        auto [wa, a] = heap.top();
+        heap.pop();
+        auto [wb, b] = heap.top();
+        heap.pop();
+        const std::size_t parent = nodes.size();
+        nodes.push_back({wa + wb});
+        nodes[a].parent = static_cast<i32>(parent);
+        nodes[b].parent = static_cast<i32>(parent);
+        heap.push({wa + wb, parent});
+    }
+    for (std::size_t i = nodes.size(); i-- > 0;)
+        if (nodes[i].parent >= 0)
+            nodes[i].depth =
+                static_cast<u8>(nodes[nodes[i].parent].depth + 1);
+    for (std::size_t sym = 0; sym < freqs.size(); ++sym)
+        if (leaf_node[sym] != static_cast<std::size_t>(-1))
+            lengths[sym] = nodes[leaf_node[sym]].depth;
+    limitLengths(lengths, max_bits);
+    return lengths;
+}
+
+void
+expectMatchesHeapOracle(const std::vector<u64> &freqs, unsigned max_bits)
+{
+    auto table = buildCodeTable(freqs, max_bits);
+    ASSERT_TRUE(table.ok()) << max_bits;
+    const std::vector<u8> expected = heapLengths(freqs, max_bits);
+    ASSERT_EQ(table.value().lengths, expected) << "max_bits " << max_bits;
+    EXPECT_EQ(table.value().codes, codesFromLengths(expected).value().codes);
+}
+
+TEST(CodeBuilderTest, MatchesHeapOracleOnRandomHistograms)
+{
+    // Weights are drawn log-uniformly up to 2^20, so small equal
+    // weights (ties the merge order must break like the heap) and
+    // zeros are common.
+    Rng rng(2025);
+    for (int trial = 0; trial < 3000; ++trial) {
+        std::vector<u64> freqs(2 + rng.below(285));
+        for (u64 &f : freqs)
+            f = rng.below((u64{1} << rng.below(21)) + 1);
+        if (std::all_of(freqs.begin(), freqs.end(),
+                        [](u64 f) { return f == 0; }))
+            freqs[rng.below(freqs.size())] = 1;
+        for (unsigned max_bits : {11u, 14u, 15u}) {
+            SCOPED_TRACE(trial);
+            expectMatchesHeapOracle(freqs, max_bits);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(CodeBuilderTest, MatchesHeapOracleOnCorpusLiteralHistograms)
+{
+    for (corpus::DataClass cls : corpus::allDataClasses()) {
+        for (std::size_t size : {1 * kKiB, 4 * kKiB}) {
+            Rng rng(static_cast<u64>(cls) * 31 + size);
+            const Bytes data = corpus::generate(cls, size, rng);
+            SCOPED_TRACE(corpus::dataClassName(cls) + " " +
+                         std::to_string(size));
+            for (unsigned max_bits : {11u, 14u, 15u})
+                expectMatchesHeapOracle(countFrequencies(data), max_bits);
+        }
+    }
 }
 
 TEST(CodeBuilderTest, ReverseBits)

@@ -417,5 +417,77 @@ TEST(PredefinedTablesTest, SmallBlocksUsePredefined)
     EXPECT_EQ(out.value(), data);
 }
 
+// --- Fused decode tables ---------------------------------------------------
+
+/** The oracle for buildSeqTable: fse::buildDecodeTable's entries with
+ *  each symbol replaced by its code's baseline and extra bits. */
+SeqTable
+seqTableFromDecodeTable(const fse::NormalizedCounts &norm, CodeStream which)
+{
+    const fse::DecodeTable fse_table = fse::buildDecodeTable(norm).value();
+    SeqTable table;
+    table.tableLog = fse_table.tableLog;
+    for (const fse::DecodeEntry &entry : fse_table.entries) {
+        const CodeBin bin = which == kLL
+                                ? literalLengthFromCode(entry.symbol).value()
+                            : which == kOF
+                                ? offsetFromCode(entry.symbol).value()
+                                : matchLengthFromCode(entry.symbol).value();
+        table.entries.push_back({bin.baseline, bin.extraBits, entry.nbBits,
+                                 entry.nextStateBase});
+    }
+    return table;
+}
+
+void
+expectSeqTableMatchesOracle(const fse::NormalizedCounts &norm,
+                            CodeStream which)
+{
+    const SeqTable built = buildSeqTable(norm, which);
+    const SeqTable expected = seqTableFromDecodeTable(norm, which);
+    EXPECT_EQ(built.tableLog, expected.tableLog);
+    EXPECT_TRUE(built.entries == expected.entries)
+        << "stream " << which << " table log " << norm.tableLog;
+}
+
+TEST(SeqTableTest, PredefinedTablesMatchDecodeTableOracle)
+{
+    expectSeqTableMatchesOracle(predefinedLLCounts(), kLL);
+    expectSeqTableMatchesOracle(predefinedOFCounts(), kOF);
+    expectSeqTableMatchesOracle(predefinedMLCounts(), kML);
+}
+
+TEST(SeqTableTest, DynamicTablesMatchDecodeTableOracle)
+{
+    Rng rng(1234);
+    const std::array<std::size_t, 3> alphabets = {kNumLLCodes, kNumOFCodes,
+                                                  kNumMLCodes};
+    for (unsigned which : {kLL, kOF, kML}) {
+        for (unsigned log = fse::kMinTableLog; log <= fse::kMaxTableLog;
+             ++log) {
+            for (int trial = 0; trial < 20; ++trial) {
+                // A transmitted alphabet may stop short of the full
+                // code range; skewed weights give large and count-1
+                // symbols alike.
+                std::vector<u64> freqs(1 + rng.below(alphabets[which]));
+                std::size_t used = 0;
+                for (u64 &f : freqs) {
+                    if (used < (std::size_t{1} << log) && rng.below(4)) {
+                        f = 1 + rng.below(u64{1} << rng.below(12));
+                        ++used;
+                    }
+                }
+                if (used == 0)
+                    freqs[0] = 1;
+                auto norm = fse::normalizeCounts(freqs, log);
+                ASSERT_TRUE(norm.ok()) << norm.status().toString();
+                SCOPED_TRACE(trial);
+                expectSeqTableMatchesOracle(norm.value(),
+                                            CodeStream(which));
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace cdpu::zstdlite
