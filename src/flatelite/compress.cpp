@@ -118,32 +118,36 @@ encodeBlock(ByteSpan input, std::size_t block_start,
     std::size_t header_bytes =
         (kLitLenAlphabet + 1) / 2 + kDistanceAlphabet / 2;
 
-    BlockTrace block_trace;
-    block_trace.regenSize = block.regenSize;
-
     u8 last_bit = last ? 1 : 0;
-    if (header_bytes + stream.size() + 8 < block_input.size()) {
+    const bool compressed =
+        header_bytes + stream.size() + 8 < block_input.size();
+    if (compressed) {
         out.push_back(static_cast<u8>(last_bit | 2));
         putVarint(out, block.regenSize);
         huffman::packLengths(lt.lengths, kLitLenAlphabet, out);
         huffman::packLengths(dist_table.lengths, kDistanceAlphabet, out);
         putVarint(out, stream.size());
         out.insert(out.end(), stream.begin(), stream.end());
-        block_trace.compressed = true;
-        block_trace.symbolCount = symbol_count;
-        block_trace.streamBytes = stream.size();
-        block_trace.sequences = block.sequences;
-        std::size_t match_bytes = 0;
-        for (const auto &seq : block.sequences)
-            match_bytes += seq.matchLength;
-        block_trace.literalBytes = block.regenSize - match_bytes;
     } else {
         out.push_back(last_bit);
         putVarint(out, block.regenSize);
         out.insert(out.end(), block_input.begin(), block_input.end());
     }
-    if (trace)
-        trace->blocks.push_back(std::move(block_trace));
+
+    if (trace) {
+        BlockTrace &block_trace = trace->blocks.emplace_back();
+        block_trace.regenSize = block.regenSize;
+        block_trace.compressed = compressed;
+        if (compressed) {
+            block_trace.symbolCount = symbol_count;
+            block_trace.streamBytes = stream.size();
+            block_trace.sequences = block.sequences;
+            std::size_t match_bytes = 0;
+            for (const auto &seq : block.sequences)
+                match_bytes += seq.matchLength;
+            block_trace.literalBytes = block.regenSize - match_bytes;
+        }
+    }
     return Status::okStatus();
 }
 
@@ -171,12 +175,12 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
         flateLevelParameters(config.level, config.windowLog);
     if (config.overrideMatchFinder)
         mf_config.hashTable = config.matchFinderOverride;
-    // A trace or stats request gets MatchFinder, the reference the
-    // CDPU model reads; the specialized parse gives the same bytes.
+    // Only a stats request needs MatchFinder, whose probe counts the
+    // CDPU model reads; the specialized parse gives the same sequences,
+    // so a trace is the same from either.
     const lz77::Parse parse =
-        trace || stats_out
-            ? lz77::MatchFinder(mf_config).parse(input, stats_out)
-            : lz77::fastParse(input, mf_config);
+        stats_out ? lz77::MatchFinder(mf_config).parse(input, stats_out)
+                  : lz77::fastParse(input, mf_config);
 
     PendingBlock block;
     std::size_t cursor = 0;

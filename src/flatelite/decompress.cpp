@@ -5,8 +5,6 @@
 #include "common/bitio.h"
 #include "common/mem.h"
 #include "common/varint.h"
-#include "huffman/code_builder.h"
-#include "huffman/decoder.h"
 
 namespace cdpu::flatelite
 {
@@ -18,19 +16,6 @@ peekFrameHeader(ByteSpan data)
     return readFrameHeader(data, pos);
 }
 
-namespace
-{
-
-/** A compressed block's canonical codes; the distance code is absent
- *  when the block transmits no distance lengths. */
-struct BlockCodes
-{
-    huffman::CodeTable litlen;
-    huffman::CodeTable dist;
-    bool hasDistances = false;
-};
-
-/** Parses the packed code lengths at @p pos (advanced past them). */
 Result<BlockCodes>
 readBlockCodes(ByteSpan data, std::size_t &pos)
 {
@@ -63,104 +48,8 @@ readBlockCodes(ByteSpan data, std::size_t &pos)
     return codes;
 }
 
-/** Table-driven decode of one symbol from an LSB-first stream.
- *  Returns a 16-bit symbol (the lit/len alphabet exceeds a byte). */
-Result<u16>
-decodeSymbol(const huffman::Decoder &decoder, BitReader &reader)
+namespace
 {
-    u32 prefix = static_cast<u32>(reader.peek(decoder.maxBits()));
-    const auto &entry = decoder.entryAt(prefix);
-    if (entry.length == 0)
-        return Status::corrupt("invalid flate code");
-    CDPU_RETURN_IF_ERROR(reader.advance(entry.length));
-    return entry.symbol;
-}
-
-/**
- * Reference path: decodes one compressed block symbol by symbol,
- * appending to @p out and recording the sequences and symbol counts
- * the Flate PU model reads. The fused path is tested against it.
- */
-Status
-decodeBlockReference(const BlockCodes &codes, ByteSpan stream,
-                     u64 window, std::size_t regen_size, Bytes &out,
-                     BlockTrace &block_trace)
-{
-    auto litlen_decoder = huffman::Decoder::build(codes.litlen);
-    if (!litlen_decoder.ok())
-        return litlen_decoder.status();
-    huffman::Decoder dist_decoder;
-    if (codes.hasDistances) {
-        auto built = huffman::Decoder::build(codes.dist);
-        if (!built.ok())
-            return built.status();
-        dist_decoder = std::move(built).value();
-    }
-
-    BitReader reader(stream);
-    std::size_t produced_before = out.size();
-    std::size_t pending_literals = 0;
-    for (;;) {
-        auto symbol = decodeSymbol(litlen_decoder.value(), reader);
-        if (!symbol.ok())
-            return symbol.status();
-        ++block_trace.symbolCount;
-        if (symbol.value() == kEndOfBlock)
-            break;
-        if (symbol.value() < 256) {
-            out.push_back(static_cast<u8>(symbol.value()));
-            ++pending_literals;
-            ++block_trace.literalBytes;
-            if (out.size() - produced_before > regen_size)
-                return Status::corrupt("flate block overruns");
-            continue;
-        }
-        auto len_bin = lengthFromCode(symbol.value());
-        if (!len_bin.ok())
-            return len_bin.status();
-        auto len_extra = reader.read(len_bin.value().extraBits);
-        if (!len_extra.ok())
-            return len_extra.status();
-        u32 length = len_bin.value().baseline +
-                     static_cast<u32>(len_extra.value());
-
-        if (!codes.hasDistances)
-            return Status::corrupt("match without distance table");
-        auto dist_symbol = decodeSymbol(dist_decoder, reader);
-        if (!dist_symbol.ok())
-            return dist_symbol.status();
-        ++block_trace.symbolCount;
-        auto dist_bin = distanceFromCode(dist_symbol.value());
-        if (!dist_bin.ok())
-            return dist_bin.status();
-        auto dist_extra = reader.read(dist_bin.value().extraBits);
-        if (!dist_extra.ok())
-            return dist_extra.status();
-        u32 distance = dist_bin.value().baseline +
-                       static_cast<u32>(dist_extra.value());
-
-        if (distance == 0 || distance > out.size())
-            return Status::corrupt("flate distance exceeds history");
-        if (distance > window)
-            return Status::corrupt("flate distance exceeds window");
-        if (out.size() - produced_before + length > regen_size)
-            return Status::corrupt("flate block overruns");
-
-        lz77::Sequence seq;
-        seq.literalLength = static_cast<u32>(pending_literals);
-        seq.matchLength = length;
-        seq.offset = distance;
-        block_trace.sequences.push_back(seq);
-        pending_literals = 0;
-
-        std::size_t from = out.size() - distance;
-        for (u32 i = 0; i < length; ++i)
-            out.push_back(out[from + i]);
-    }
-    if (out.size() - produced_before != regen_size)
-        return Status::corrupt("flate block size mismatch");
-    return Status::okStatus();
-}
 
 /**
  * Two-level decode table for the fused loop, built the way zlib's
@@ -284,20 +173,28 @@ growForElement(Bytes &out, std::size_t op, std::size_t block_end)
 }
 
 /**
- * Fused path: decodes one compressed block straight into @p out, whose
- * first @p op bytes are history; @p op ends one past the last byte
- * written, and the caller trims @p out to it. Each element (a literal,
- * or a length and distance with their extra bits, at most 48 bits)
- * decodes from one bitWindow() and is checked once against the block
- * budget, the history and the window. Bits past the stream end read
- * as zero; the cursor check before each element and at the
- * end-of-block symbol rejects any element that crossed the end, which
- * is exactly when the per-read reference fails. Same verdicts as
- * decodeBlockReference().
+ * Decodes one compressed block straight into @p out, whose first @p op
+ * bytes are history; @p op ends one past the last byte written, and
+ * the caller trims @p out to it. Each element (a literal, or a length
+ * and distance with their extra bits, at most 48 bits) decodes from
+ * one bitWindow() and is checked once against the block budget, the
+ * history and the window. Bits past the stream end read as zero; the
+ * cursor check before each element and at the end-of-block symbol
+ * rejects any element that crossed the end, which is exactly when a
+ * decoder reading field by field fails (tests/fused_decode_test.cpp
+ * keeps one as this loop's oracle).
+ *
+ * Instantiated twice so the untraced loop carries no trace test: with
+ * @p kTraced it appends one sequence per match to @p trace, its
+ * literal run being everything since the previous match ended, and at
+ * the end of the block records its literal bytes and symbol count
+ * (literals, two per match, and the end-of-block symbol).
  */
+template <bool kTraced>
 Status
 decodeBlockFused(const BlockCodes &codes, ByteSpan stream, u64 window,
-                 std::size_t regen_size, Bytes &out, std::size_t &op)
+                 std::size_t regen_size, Bytes &out, std::size_t &op,
+                 BlockTrace *trace)
 {
     using Entry = FastTable::Entry;
     const FastTable litlen_table(codes.litlen, [](u16 sym) {
@@ -321,6 +218,7 @@ decodeBlockFused(const BlockCodes &codes, ByteSpan stream, u64 window,
     const FastTable::View dist = dist_table.view();
 
     const std::size_t block_end = op + regen_size;
+    std::size_t match_end = op; // Where the trace's literal run starts.
     u8 *dst = out.data();
     std::size_t room_end = 0; // Past it, an element may not fit.
     const u64 end_bit = u64{stream.size()} * 8;
@@ -350,6 +248,14 @@ decodeBlockFused(const BlockCodes &codes, ByteSpan stream, u64 window,
                 return Status::corrupt("bit stream truncated");
             if (op != block_end)
                 return Status::corrupt("flate block size mismatch");
+            if constexpr (kTraced) {
+                std::size_t literals = op - match_end;
+                for (const lz77::Sequence &seq : trace->sequences)
+                    literals += seq.literalLength;
+                trace->literalBytes = literals;
+                trace->symbolCount =
+                    literals + 2 * trace->sequences.size() + 1;
+            }
             return Status::okStatus();
         }
         const unsigned len_extra = sym.op & 0x0f;
@@ -376,6 +282,11 @@ decodeBlockFused(const BlockCodes &codes, ByteSpan stream, u64 window,
             return Status::corrupt("flate distance exceeds window");
         if (length > block_end - op)
             return Status::corrupt("flate block overruns");
+        if constexpr (kTraced) {
+            trace->sequences.push_back(
+                {static_cast<u32>(op - match_end), length, distance});
+            match_end = op + length;
+        }
         if (distance >= 8)
             mem::wildCopy(dst + op, dst + op - distance, length,
                           dst + room_end + kElementRoom);
@@ -426,9 +337,12 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
             return Status::corrupt("flate blocks exceed content size");
         std::size_t regen_size = regen.value();
 
-        BlockTrace block_trace;
-        block_trace.regenSize = regen_size;
-        block_trace.compressed = compressed;
+        BlockTrace *block_trace = nullptr;
+        if (trace) {
+            block_trace = &trace->blocks.emplace_back();
+            block_trace->regenSize = regen_size;
+            block_trace->compressed = compressed;
+        }
 
         if (!compressed) {
             if (pos + regen_size > data.size())
@@ -436,8 +350,6 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
             out.insert(out.end(), data.begin() + pos,
                        data.begin() + pos + regen_size);
             pos += regen_size;
-            if (trace)
-                trace->blocks.push_back(std::move(block_trace));
             continue;
         }
 
@@ -451,19 +363,18 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
             return Status::corrupt("flate stream truncated");
         ByteSpan stream = data.subspan(pos, stream_bytes.value());
         pos += stream_bytes.value();
+        if (block_trace)
+            block_trace->streamBytes = stream.size();
 
-        if (!trace) {
-            std::size_t op = out.size();
-            Status status = decodeBlockFused(codes.value(), stream, window,
-                                             regen_size, out, op);
-            out.resize(op);
-            CDPU_RETURN_IF_ERROR(status);
-            continue;
-        }
-        block_trace.streamBytes = stream.size();
-        CDPU_RETURN_IF_ERROR(decodeBlockReference(
-            codes.value(), stream, window, regen_size, out, block_trace));
-        trace->blocks.push_back(std::move(block_trace));
+        std::size_t op = out.size();
+        Status status =
+            block_trace
+                ? decodeBlockFused<true>(codes.value(), stream, window,
+                                         regen_size, out, op, block_trace)
+                : decodeBlockFused<false>(codes.value(), stream, window,
+                                          regen_size, out, op, nullptr);
+        out.resize(op);
+        CDPU_RETURN_IF_ERROR(status);
     }
 
     if (out.size() != header.value().contentSize)

@@ -7,6 +7,7 @@
 #define CDPU_FLATELITE_DECOMPRESS_H_
 
 #include "flatelite/format.h"
+#include "huffman/code_builder.h"
 
 namespace cdpu::flatelite
 {
@@ -14,10 +15,24 @@ namespace cdpu::flatelite
 /** Parses only the frame header. */
 Result<FrameHeader> peekFrameHeader(ByteSpan data);
 
+/** A compressed block's canonical codes; the distance code is absent
+ *  when the block transmits no distance lengths. */
+struct BlockCodes
+{
+    huffman::CodeTable litlen;
+    huffman::CodeTable dist;
+    bool hasDistances = false;
+};
+
+/** Parses a compressed block's packed code lengths at @p pos (advanced
+ *  past them) and rebuilds both canonical codes. */
+Result<BlockCodes> readBlockCodes(ByteSpan data, std::size_t &pos);
+
 /**
  * Decompresses a FlateLite frame; validates window-bounded distances,
  * history bounds, block sizes and the content-size claim. Optionally
- * records the per-block trace for the Flate CDPU model.
+ * records the per-block trace for the Flate CDPU model; a trace only
+ * observes, the same loop decodes either way.
  */
 Result<Bytes> decompress(ByteSpan data, FileTrace *trace = nullptr);
 

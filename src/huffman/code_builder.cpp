@@ -1,6 +1,7 @@
 #include "huffman/code_builder.h"
 
 #include <algorithm>
+#include <array>
 
 namespace cdpu::huffman
 {
@@ -26,15 +27,29 @@ unpackLengths(ByteSpan packed, std::size_t count)
     return lengths;
 }
 
+namespace
+{
+
+/** Every byte with its bits in reverse order. */
+constexpr std::array<u8, 256> kReversedBytes = [] {
+    std::array<u8, 256> table{};
+    for (unsigned byte = 0; byte < 256; ++byte)
+        for (unsigned bit = 0; bit < 8; ++bit)
+            if (byte & (1u << bit))
+                table[byte] |= static_cast<u8>(0x80u >> bit);
+    return table;
+}();
+
+} // namespace
+
 u16
 reverseBits(u16 v, unsigned nbits)
 {
-    u16 r = 0;
-    for (unsigned i = 0; i < nbits; ++i) {
-        r = static_cast<u16>((r << 1) | (v & 1));
-        v >>= 1;
-    }
-    return r;
+    // Reverse all 16 bits, then drop the ones that came from above the
+    // low nbits.
+    const u32 reversed = (u32{kReversedBytes[v & 0xff]} << 8) |
+                         kReversedBytes[v >> 8];
+    return static_cast<u16>(reversed >> (16 - nbits));
 }
 
 namespace
@@ -211,12 +226,13 @@ codesFromLengths(const std::vector<u8> &lengths)
     table.maxBits = max_bits;
 
     // Canonical assignment: count lengths, derive first code per length.
-    std::vector<u32> bl_count(max_bits + 1, 0);
+    // Every length is at most 15 (checked above).
+    std::array<u32, 16> bl_count{};
     for (u8 len : lengths)
         if (len)
             ++bl_count[len];
 
-    std::vector<u32> next_code(max_bits + 2, 0);
+    std::array<u32, 16> next_code{};
     u32 code = 0;
     u64 kraft = 0;
     for (unsigned bits = 1; bits <= max_bits; ++bits) {

@@ -75,7 +75,8 @@ void packLengths(const std::vector<u8> &lengths, std::size_t count,
  *  (count + 1) / 2 bytes of @p packed. */
 std::vector<u8> unpackLengths(ByteSpan packed, std::size_t count);
 
-/** Reverses the low @p nbits bits of @p v. */
+/** Reverses the low @p nbits (<= 16) bits of @p v; higher bits of @p v
+ *  are ignored. */
 u16 reverseBits(u16 v, unsigned nbits);
 
 } // namespace cdpu::huffman

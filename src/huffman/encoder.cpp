@@ -15,13 +15,15 @@ encode(const CodeTable &table, ByteSpan symbols, BitWriter &writer)
 }
 
 Result<u64>
-encodedBitCost(const CodeTable &table, ByteSpan symbols)
+encodedBitCost(const CodeTable &table, const std::vector<u64> &freqs)
 {
     u64 bits = 0;
-    for (u8 sym : symbols) {
+    for (std::size_t sym = 0; sym < freqs.size(); ++sym) {
+        if (freqs[sym] == 0)
+            continue;
         if (sym >= table.numSymbols() || table.lengths[sym] == 0)
             return Status::invalid("symbol has no huffman code");
-        bits += table.lengths[sym];
+        bits += freqs[sym] * table.lengths[sym];
     }
     return bits;
 }

@@ -20,8 +20,13 @@ namespace cdpu::huffman
  */
 Status encode(const CodeTable &table, ByteSpan symbols, BitWriter &writer);
 
-/** Exact bit cost of encoding @p symbols under @p table (no terminator). */
-Result<u64> encodedBitCost(const CodeTable &table, ByteSpan symbols);
+/**
+ * Exact bit cost (no terminator) of encoding, under @p table, a stream
+ * whose symbol counts are @p freqs: the sum of freqs[s] * length[s].
+ * Fails if a symbol that occurs has no code.
+ */
+Result<u64> encodedBitCost(const CodeTable &table,
+                           const std::vector<u64> &freqs);
 
 /** Builds a frequency vector over an @p alphabet_size alphabet. */
 std::vector<u64> countFrequencies(ByteSpan symbols,

@@ -64,14 +64,11 @@ struct PendingBlock
 };
 
 /** Encodes and appends one block; falls back to raw when compression
- *  does not win. */
+ *  does not win. Records the block in @p trace when one is given. */
 Status
 flushBlock(PendingBlock &block, ByteSpan block_input, bool last,
            Bytes &out, FileTrace *trace)
 {
-    BlockTrace block_trace;
-    block_trace.regenSize = block.regenSize;
-
     // Try a compressed block into a scratch buffer.
     Bytes scratch;
     LiteralsMode lit_mode = LiteralsMode::raw;
@@ -88,38 +85,42 @@ flushBlock(PendingBlock &block, ByteSpan block_input, bool last,
         std::all_of(block_input.begin(), block_input.end(),
                     [&](u8 b) { return b == block_input[0]; });
 
-    u8 header_last = last ? 1 : 0;
-    if (uniform && block_input.size() > 8) {
-        out.push_back(static_cast<u8>(
-            header_last | (static_cast<u8>(BlockType::rle) << 1)));
-        putVarint(out, block.regenSize);
+    BlockType type = BlockType::raw;
+    if (uniform && block_input.size() > 8)
+        type = BlockType::rle;
+    else if (scratch.size() + varintSize(scratch.size()) <
+             block_input.size())
+        type = BlockType::compressed;
+    out.push_back(
+        static_cast<u8>((last ? 1 : 0) | (static_cast<u8>(type) << 1)));
+    putVarint(out, block.regenSize);
+    switch (type) {
+      case BlockType::raw:
+        out.insert(out.end(), block_input.begin(), block_input.end());
+        break;
+      case BlockType::rle:
         out.push_back(block_input[0]);
-        block_trace.type = BlockType::rle;
-    } else if (scratch.size() + varintSize(scratch.size()) <
-               block_input.size()) {
-        out.push_back(static_cast<u8>(
-            header_last | (static_cast<u8>(BlockType::compressed) << 1)));
-        putVarint(out, block.regenSize);
+        break;
+      case BlockType::compressed:
         putVarint(out, scratch.size());
         out.insert(out.end(), scratch.begin(), scratch.end());
-        block_trace.type = BlockType::compressed;
-        block_trace.literalsMode = lit_mode;
-        block_trace.litCount = block.literals.size();
-        block_trace.litStreamBytes = lit_stream;
-        block_trace.numSequences = block.sequences.size();
-        block_trace.seqStreamBytes = seq_stream;
-        block_trace.dynamicTables = dynamic;
-        block_trace.sequences = block.sequences;
-    } else {
-        out.push_back(static_cast<u8>(
-            header_last | (static_cast<u8>(BlockType::raw) << 1)));
-        putVarint(out, block.regenSize);
-        out.insert(out.end(), block_input.begin(), block_input.end());
-        block_trace.type = BlockType::raw;
+        break;
     }
 
-    if (trace)
-        trace->blocks.push_back(std::move(block_trace));
+    if (trace) {
+        BlockTrace &block_trace = trace->blocks.emplace_back();
+        block_trace.type = type;
+        block_trace.regenSize = block.regenSize;
+        if (type == BlockType::compressed) {
+            block_trace.literalsMode = lit_mode;
+            block_trace.litCount = block.literals.size();
+            block_trace.litStreamBytes = lit_stream;
+            block_trace.numSequences = block.sequences.size();
+            block_trace.seqStreamBytes = seq_stream;
+            block_trace.dynamicTables = dynamic;
+            block_trace.sequences = std::move(block.sequences);
+        }
+    }
     block = PendingBlock{};
     return Status::okStatus();
 }
@@ -150,12 +151,12 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
         mf_config.hashTable = config.matchFinderOverride;
         mf_config.skipAcceleration = config.skipAccelerationOverride;
     }
-    // A trace or stats request gets MatchFinder, the reference the
-    // CDPU models read; the specialized parse gives the same bytes.
+    // Only a stats request needs MatchFinder, whose probe counts the
+    // CDPU models read; the specialized parse gives the same sequences,
+    // so a trace is the same from either.
     const lz77::Parse parse =
-        trace || stats_out
-            ? lz77::MatchFinder(mf_config).parse(input, stats_out)
-            : lz77::fastParse(input, mf_config);
+        stats_out ? lz77::MatchFinder(mf_config).parse(input, stats_out)
+                  : lz77::fastParse(input, mf_config);
 
     // Partition the parse into blocks of ~kBlockTarget regenerated
     // bytes. Over-long literal runs are cut by flushing the pending

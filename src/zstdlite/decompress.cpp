@@ -1,7 +1,6 @@
 #include "zstdlite/decompress.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/mem.h"
 #include "common/varint.h"
@@ -22,82 +21,12 @@ namespace
 {
 
 /**
- * Reference path: replays one compressed block's materialized
- * literals + sequences into @p out.
- *
- * The block's regenerated size is known from its header, so the buffer
- * is pre-sized once (with the wild-copy slop margin, trimmed before
- * returning) and filled by cursor: literal runs memcpy in, match
- * replays use word-chunked copies for offsets >= 8 and the
- * overlap-safe incremental copy below that.
- */
-Status
-executeBlock(const DecodedLiterals &literals,
-             const std::vector<lz77::Sequence> &sequences,
-             std::size_t regen_size, u64 window_size, Bytes &out)
-{
-    // Everything the block can produce is already decoded, so the
-    // claimed size is verifiable before the buffer grows — a corrupt
-    // header cannot force a large allocation.
-    u64 produced = literals.bytes.size();
-    for (const auto &seq : sequences)
-        produced += seq.matchLength;
-    if (produced != regen_size)
-        return Status::corrupt("block regenerated size mismatch");
-
-    const std::size_t base = out.size();
-    const std::size_t end = base + regen_size;
-    out.resize(end + mem::kWildCopySlop);
-    u8 *dst = out.data();
-    std::size_t op = base;
-    std::size_t lit_cursor = 0;
-    for (const auto &seq : sequences) {
-        if (lit_cursor + seq.literalLength > literals.bytes.size())
-            return Status::corrupt("sequence literal budget exceeded");
-        if (op + seq.literalLength > end)
-            return Status::corrupt("block regenerated size mismatch");
-        if (seq.literalLength != 0) {
-            std::memcpy(dst + op, literals.bytes.data() + lit_cursor,
-                        seq.literalLength);
-            op += seq.literalLength;
-            lit_cursor += seq.literalLength;
-        }
-
-        if (seq.offset == 0 || seq.offset > op)
-            return Status::corrupt("match offset exceeds history");
-        if (seq.offset > window_size)
-            return Status::corrupt("match offset exceeds window");
-        if (op + seq.matchLength > end)
-            return Status::corrupt("block regenerated size mismatch");
-        if (seq.offset >= 8)
-            mem::wildCopy(dst + op, dst + op - seq.offset,
-                          seq.matchLength, dst + out.size());
-        else
-            mem::incrementalCopy(dst + op, seq.offset,
-                                 seq.matchLength); // Overlap is legal.
-        op += seq.matchLength;
-    }
-    // Remaining literals are the block's tail.
-    const std::size_t tail = literals.bytes.size() - lit_cursor;
-    if (op + tail != end)
-        return Status::corrupt("block regenerated size mismatch");
-    if (tail != 0)
-        std::memcpy(dst + op, literals.bytes.data() + lit_cursor, tail);
-    out.resize(end);
-    return Status::okStatus();
-}
-
-/**
  * Decodes one block starting at @p pos (advanced past it). @p out
  * carries the decoded history so far — match offsets resolve against
  * it — and @p content_size bounds cumulative output. Sets @p last
  * from the block header. Shared by the whole-buffer path and the
- * incremental StreamDecoder so the two agree byte for byte.
- *
- * Without @p trace_out a compressed block takes the fused path
- * (executeSequencesSection). With one it takes the reference path,
- * which materializes the sequence list the ZStd PU model reads and
- * is the oracle the fused path is tested against.
+ * incremental StreamDecoder so the two agree byte for byte. Records
+ * the block in @p trace_out when one is given.
  */
 Status
 decodeBlock(ByteSpan data, std::size_t &pos, u64 window_size,
@@ -125,9 +54,10 @@ decodeBlock(ByteSpan data, std::size_t &pos, u64 window_size,
         return Status::corrupt("blocks exceed content size");
     std::size_t regen_size = regen.value();
 
-    BlockTrace block_trace;
-    block_trace.type = type;
-    block_trace.regenSize = regen_size;
+    if (trace_out) {
+        trace_out->type = type;
+        trace_out->regenSize = regen_size;
+    }
 
     switch (type) {
       case BlockType::raw: {
@@ -136,66 +66,47 @@ decodeBlock(ByteSpan data, std::size_t &pos, u64 window_size,
         out.insert(out.end(), data.begin() + pos,
                    data.begin() + pos + regen_size);
         pos += regen_size;
-        break;
+        return Status::okStatus();
       }
       case BlockType::rle: {
         if (pos >= data.size())
             return Status::corrupt("rle block truncated");
         out.insert(out.end(), regen_size, data[pos++]);
-        break;
+        return Status::okStatus();
       }
-      case BlockType::compressed: {
-        auto comp_size = getVarint(data, pos);
-        if (!comp_size.ok())
-            return comp_size.status();
-        if (pos + comp_size.value() > data.size())
-            return Status::corrupt("compressed block truncated");
-        ByteSpan body = data.subspan(pos, comp_size.value());
-        pos += comp_size.value();
-
-        std::size_t body_pos = 0;
-        auto literals = decodeLiteralsSection(body, body_pos,
-                                              regen_size);
-        if (!literals.ok())
-            return literals.status();
-        if (!trace_out) {
-            // Fused path. The block is sized only now that its regen
-            // size has passed the format and content-size bounds.
-            const std::size_t base = out.size();
-            out.resize(base + regen_size + mem::kWildCopySlop);
-            std::size_t op = base;
-            Status status = executeSequencesSection(
-                body, body_pos, literals.value().bytes, window_size,
-                base + regen_size, out, op);
-            if (status.ok() && body_pos != body.size())
-                status = Status::corrupt("trailing bytes in block body");
-            out.resize(status.ok() ? base + regen_size : op);
-            return status;
-        }
-        auto sequences = decodeSequencesSection(
-            body, body_pos, regen_size / kMinMatchLength + 1);
-        if (!sequences.ok())
-            return sequences.status();
-        if (body_pos != body.size())
-            return Status::corrupt("trailing bytes in block body");
-
-        CDPU_RETURN_IF_ERROR(executeBlock(
-            literals.value(), sequences.value().sequences, regen_size,
-            window_size, out));
-
-        block_trace.literalsMode = literals.value().mode;
-        block_trace.litCount = literals.value().bytes.size();
-        block_trace.litStreamBytes = literals.value().streamBytes;
-        block_trace.numSequences = sequences.value().sequences.size();
-        block_trace.seqStreamBytes = sequences.value().streamBytes;
-        block_trace.dynamicTables = sequences.value().dynamicTables;
-        block_trace.sequences = std::move(sequences.value().sequences);
+      case BlockType::compressed:
         break;
-      }
     }
-    if (trace_out)
-        *trace_out = std::move(block_trace);
-    return Status::okStatus();
+
+    auto comp_size = getVarint(data, pos);
+    if (!comp_size.ok())
+        return comp_size.status();
+    if (pos + comp_size.value() > data.size())
+        return Status::corrupt("compressed block truncated");
+    ByteSpan body = data.subspan(pos, comp_size.value());
+    pos += comp_size.value();
+
+    std::size_t body_pos = 0;
+    auto literals = decodeLiteralsSection(body, body_pos, regen_size);
+    if (!literals.ok())
+        return literals.status();
+    if (trace_out) {
+        trace_out->literalsMode = literals.value().mode;
+        trace_out->litCount = literals.value().bytes.size();
+        trace_out->litStreamBytes = literals.value().streamBytes;
+    }
+    // The block is sized only now that its regen size has passed the
+    // format and content-size bounds.
+    const std::size_t base = out.size();
+    out.resize(base + regen_size + mem::kWildCopySlop);
+    std::size_t op = base;
+    Status status = executeSequencesSection(
+        body, body_pos, literals.value().bytes, window_size,
+        base + regen_size, out, op, trace_out);
+    if (status.ok() && body_pos != body.size())
+        status = Status::corrupt("trailing bytes in block body");
+    out.resize(status.ok() ? base + regen_size : op);
+    return status;
 }
 
 /**
@@ -291,12 +202,9 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
 
     bool saw_last = false;
     while (!saw_last) {
-        BlockTrace block_trace;
         CDPU_RETURN_IF_ERROR(decodeBlock(
             data, pos, window_size, header.value().contentSize, out,
-            trace ? &block_trace : nullptr, saw_last));
-        if (trace)
-            trace->blocks.push_back(std::move(block_trace));
+            trace ? &trace->blocks.emplace_back() : nullptr, saw_last));
     }
 
     if (out.size() != header.value().contentSize)

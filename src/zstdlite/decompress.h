@@ -20,7 +20,8 @@ Result<FrameHeader> peekFrameHeader(ByteSpan data);
  *
  * Validates magic, window-bounded offsets, history bounds, literal
  * budgets, and the content-size claim; never reads outside @p data.
- * Optionally records a per-block trace for the CDPU cycle models.
+ * Optionally records a per-block trace for the CDPU cycle models; a
+ * trace only observes, the same loop decodes either way.
  */
 Result<Bytes> decompress(ByteSpan data, FileTrace *trace = nullptr);
 

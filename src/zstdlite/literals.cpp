@@ -51,7 +51,7 @@ encodeLiteralsSection(ByteSpan literals, Bytes &out,
     auto freqs = huffman::countFrequencies(literals);
     auto table = huffman::buildCodeTable(freqs);
     if (table.ok()) {
-        auto bit_cost = huffman::encodedBitCost(table.value(), literals);
+        auto bit_cost = huffman::encodedBitCost(table.value(), freqs);
         if (bit_cost.ok()) {
             std::size_t stream_bytes = (bit_cost.value() + 1 + 7) / 8;
             std::size_t huff_total = kLengthTableBytes + stream_bytes +

@@ -7,7 +7,6 @@
 #include "common/histogram.h"
 #include "common/mem.h"
 #include "common/varint.h"
-#include "fse/decoder.h"
 #include "fse/encoder.h"
 
 namespace cdpu::zstdlite
@@ -235,31 +234,12 @@ buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which)
     return table;
 }
 
-namespace
+const fse::NormalizedCounts &
+SectionHeader::norm(CodeStream which) const
 {
+    return dynamic[which] ? counts[which] : predefinedCounts(which);
+}
 
-/** The parsed front of a sequences section, shared by the reference
- *  decoder and the fused executor so both reject the same headers. */
-struct SectionHeader
-{
-    std::size_t count = 0;
-    std::array<bool, 3> dynamic{};
-    /** Transmitted distributions; unused where the table is predefined. */
-    std::array<fse::NormalizedCounts, 3> counts;
-    ByteSpan stream; ///< The backward FSE bitstream.
-
-    const fse::NormalizedCounts &
-    norm(CodeStream which) const
-    {
-        return dynamic[which] ? counts[which] : predefinedCounts(which);
-    }
-};
-
-/**
- * Parses a section's count, table modes, transmitted distributions and
- * stream span, advancing @p pos past the stream. A zero count ends the
- * section after its varint.
- */
 Status
 readSectionHeader(ByteSpan data, std::size_t &pos,
                   std::size_t max_sequences, SectionHeader &header)
@@ -289,7 +269,7 @@ readSectionHeader(ByteSpan data, std::size_t &pos,
         header.counts[which] = std::move(norm).value();
     }
     // The alphabet bound is what makes every table symbol a valid code,
-    // so neither decoder range-checks codes per sequence.
+    // so no decoder range-checks codes per sequence.
     if (header.norm(kLL).alphabetSize() > kNumLLCodes ||
         header.norm(kOF).alphabetSize() > kNumOFCodes ||
         header.norm(kML).alphabetSize() > kNumMLCodes) {
@@ -305,6 +285,9 @@ readSectionHeader(ByteSpan data, std::size_t &pos,
     pos += stream_bytes.value();
     return Status::okStatus();
 }
+
+namespace
+{
 
 /** The section's table for @p which: the process-wide predefined one,
  *  or one built into @p scratch from the transmitted counts. */
@@ -323,99 +306,17 @@ seqTableFor(const SectionHeader &header, CodeStream which,
     return scratch;
 }
 
-} // namespace
-
-Result<DecodedSequences>
-decodeSequencesSection(ByteSpan data, std::size_t &pos,
-                       std::size_t max_sequences)
-{
-    DecodedSequences result;
-    SectionHeader header;
-    CDPU_RETURN_IF_ERROR(
-        readSectionHeader(data, pos, max_sequences, header));
-    if (header.count == 0)
-        return result;
-    result.dynamicTables =
-        header.dynamic[kLL] || header.dynamic[kOF] || header.dynamic[kML];
-
-    auto ll_table = fse::buildDecodeTable(header.norm(kLL));
-    auto of_table = fse::buildDecodeTable(header.norm(kOF));
-    auto ml_table = fse::buildDecodeTable(header.norm(kML));
-    if (!ll_table.ok())
-        return ll_table.status();
-    if (!of_table.ok())
-        return of_table.status();
-    if (!ml_table.ok())
-        return ml_table.status();
-
-    result.streamBytes = header.stream.size();
-    auto reader = BackwardBitReader::open(header.stream);
-    if (!reader.ok())
-        return reader.status();
-
-    fse::Decoder ll_dec(ll_table.value());
-    fse::Decoder of_dec(of_table.value());
-    fse::Decoder ml_dec(ml_table.value());
-    CDPU_RETURN_IF_ERROR(of_dec.initState(reader.value()));
-    CDPU_RETURN_IF_ERROR(ml_dec.initState(reader.value()));
-    CDPU_RETURN_IF_ERROR(ll_dec.initState(reader.value()));
-
-    result.sequences.reserve(header.count);
-    for (std::size_t i = 0; i < header.count; ++i) {
-        auto ll_bin = literalLengthFromCode(ll_dec.peekSymbol());
-        auto of_bin = offsetFromCode(of_dec.peekSymbol());
-        auto ml_bin = matchLengthFromCode(ml_dec.peekSymbol());
-        if (!ll_bin.ok())
-            return ll_bin.status();
-        if (!of_bin.ok())
-            return of_bin.status();
-        if (!ml_bin.ok())
-            return ml_bin.status();
-
-        CDPU_RETURN_IF_ERROR(ll_dec.update(reader.value()));
-        CDPU_RETURN_IF_ERROR(ml_dec.update(reader.value()));
-        CDPU_RETURN_IF_ERROR(of_dec.update(reader.value()));
-
-        auto of_extra = reader.value().read(of_bin.value().extraBits);
-        if (!of_extra.ok())
-            return of_extra.status();
-        auto ml_extra = reader.value().read(ml_bin.value().extraBits);
-        if (!ml_extra.ok())
-            return ml_extra.status();
-        auto ll_extra = reader.value().read(ll_bin.value().extraBits);
-        if (!ll_extra.ok())
-            return ll_extra.status();
-
-        lz77::Sequence seq;
-        seq.literalLength =
-            ll_bin.value().baseline + static_cast<u32>(ll_extra.value());
-        seq.matchLength =
-            ml_bin.value().baseline + static_cast<u32>(ml_extra.value());
-        seq.offset =
-            of_bin.value().baseline + static_cast<u32>(of_extra.value());
-        result.sequences.push_back(seq);
-    }
-
-    if (reader.value().bitsLeft() != 0)
-        return Status::corrupt("sequence stream has trailing bits");
-    if (!ll_dec.atCleanEnd(reader.value()) ||
-        !ml_dec.atCleanEnd(reader.value()) ||
-        !of_dec.atCleanEnd(reader.value())) {
-        return Status::corrupt("sequence decoders not at clean end");
-    }
-    return result;
-}
-
+/**
+ * The decode loop of executeSequencesSection(), after the header.
+ * Instantiated twice so the untraced loop carries no trace test:
+ * with @p kTraced it appends each sequence to @p sequences.
+ */
+template <bool kTraced>
 Status
-executeSequencesSection(ByteSpan data, std::size_t &pos,
-                        ByteSpan literals, u64 window_size,
-                        std::size_t block_end, Bytes &out,
-                        std::size_t &op)
+executeSequences(const SectionHeader &header, ByteSpan literals,
+                 u64 window_size, std::size_t block_end, Bytes &out,
+                 std::size_t &op, std::vector<lz77::Sequence> *sequences)
 {
-    SectionHeader header;
-    CDPU_RETURN_IF_ERROR(readSectionHeader(
-        data, pos, (block_end - op) / kMinMatchLength + 1, header));
-
     u8 *const dst = out.data();
     const u8 *const dst_end = dst + out.size();
     const u8 *lit = literals.data();
@@ -486,6 +387,8 @@ executeSequencesSection(ByteSpan data, std::size_t &pos,
             const u32 offset = o.baseline + take(o.extraBits);
             const u32 match_len = m.baseline + take(m.extraBits);
             const u32 lit_len = l.baseline + take(l.extraBits);
+            if constexpr (kTraced)
+                sequences->push_back({lit_len, match_len, offset});
 
             if (lit_len > lit_left)
                 return Status::corrupt("sequence literal budget exceeded");
@@ -525,6 +428,29 @@ executeSequencesSection(ByteSpan data, std::size_t &pos,
         std::memcpy(dst + op, lit, lit_left);
     op += lit_left;
     return Status::okStatus();
+}
+
+} // namespace
+
+Status
+executeSequencesSection(ByteSpan data, std::size_t &pos,
+                        ByteSpan literals, u64 window_size,
+                        std::size_t block_end, Bytes &out,
+                        std::size_t &op, BlockTrace *trace)
+{
+    SectionHeader header;
+    CDPU_RETURN_IF_ERROR(readSectionHeader(
+        data, pos, (block_end - op) / kMinMatchLength + 1, header));
+    if (!trace)
+        return executeSequences<false>(header, literals, window_size,
+                                       block_end, out, op, nullptr);
+    trace->numSequences = header.count;
+    trace->seqStreamBytes = header.stream.size();
+    trace->dynamicTables =
+        header.dynamic[kLL] || header.dynamic[kOF] || header.dynamic[kML];
+    trace->sequences.reserve(header.count);
+    return executeSequences<true>(header, literals, window_size, block_end,
+                                  out, op, &trace->sequences);
 }
 
 } // namespace cdpu::zstdlite

@@ -76,44 +76,57 @@ Status encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
                               std::size_t *stream_bytes_out = nullptr,
                               bool *dynamic_out = nullptr);
 
-/** Decoded sequences plus trace numbers. */
-struct DecodedSequences
+/** The parsed front of a sequences section: what the decoder needs
+ *  before it reads the first sequence. */
+struct SectionHeader
 {
-    std::vector<lz77::Sequence> sequences;
-    std::size_t streamBytes = 0;
-    bool dynamicTables = false;
+    std::size_t count = 0;
+    std::array<bool, 3> dynamic{};
+    /** Transmitted distributions; unused where the table is predefined. */
+    std::array<fse::NormalizedCounts, 3> counts;
+    ByteSpan stream; ///< The backward FSE bitstream.
+
+    /** @p which's distribution: transmitted or predefined. */
+    const fse::NormalizedCounts &norm(CodeStream which) const;
 };
 
 /**
- * Decodes one sequences section starting at @p pos (advanced).
+ * Parses a section's count, table modes, transmitted distributions and
+ * stream span at @p pos, advancing it past the stream. A zero count
+ * ends the section after its varint.
  *
- * @p max_sequences bounds the claimed count before anything is
- * reserved: every sequence contributes a match of at least
+ * @p max_sequences bounds the claimed count before anything is sized
+ * from it: every sequence contributes a match of at least
  * kMinMatchLength bytes to the block, so the enclosing block's
  * regenerated size caps how many sequences it can legally carry
- * (regen / kMinMatchLength + 1).
+ * (regen / kMinMatchLength + 1). Every table's alphabet is checked
+ * against its code range here, so no decoder range-checks a code per
+ * sequence.
  */
-Result<DecodedSequences> decodeSequencesSection(
-    ByteSpan data, std::size_t &pos, std::size_t max_sequences);
+Status readSectionHeader(ByteSpan data, std::size_t &pos,
+                         std::size_t max_sequences, SectionHeader &header);
 
 /**
- * The fused decoder behind every untraced decode: decodes the
- * sequences section at @p pos (advanced past it) and executes each
- * sequence as soon as it is decoded, its literal run from @p literals
- * and then its match, with no sequence list in between. Remaining
- * literals form the block's tail.
+ * Decodes the sequences section at @p pos (advanced past it) and
+ * executes each sequence as soon as it is decoded, its literal run
+ * from @p literals and then its match, with no sequence list in
+ * between. Remaining literals form the block's tail. Every compressed
+ * block of every decode runs through here.
  *
  * The block occupies [@p op, @p block_end) of @p out, which must
  * already hold block_end + mem::kWildCopySlop bytes; everything
- * before @p op is history. Checks everything decodeSequencesSection()
- * and the reference block executor check, so the two paths accept
- * and reject the same blocks. On return @p op is one past the last
- * byte written.
+ * before @p op is history. On return @p op is one past the last byte
+ * written.
+ *
+ * With @p trace, also records the section's numSequences,
+ * seqStreamBytes and dynamicTables, and appends each sequence as it
+ * is decoded: the BlockTrace the ZStd PU model replays.
  */
 Status executeSequencesSection(ByteSpan data, std::size_t &pos,
                                ByteSpan literals, u64 window_size,
                                std::size_t block_end, Bytes &out,
-                               std::size_t &op);
+                               std::size_t &op,
+                               BlockTrace *trace = nullptr);
 
 } // namespace cdpu::zstdlite
 

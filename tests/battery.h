@@ -1,7 +1,8 @@
 /**
  * @file
  * What the fast-path-equals-reference batteries share: the SIMD tier
- * sweep, and the compress-side payload grid. decode_battery.h builds
+ * sweep, the compress-side payload grid, and the digest that pins
+ * outputs. decode_battery.h builds
  * the fused-decoder battery on it; fastpath_fuzz_test (the specialized
  * LZ77 parse and the codecs' untraced compress) and transform_test
  * (BWT and MTF) run their compress-side checks over forEachPayload.
@@ -21,6 +22,22 @@
 
 namespace cdpu::battery
 {
+
+/** FNV-1a over the little-endian bytes of each value fed in: the
+ *  digest the pinned-output tests compare. */
+struct Fnv1a
+{
+    u64 state = 0xcbf29ce484222325ull;
+
+    void
+    add(u64 value)
+    {
+        for (int i = 0; i < 8; ++i) {
+            state ^= (value >> (8 * i)) & 0xff;
+            state *= 0x100000001b3ull;
+        }
+    }
+};
 
 /** The host's tiers, for checking one frame at each in turn. Restores
  *  the active tier on destruction. */

@@ -1,8 +1,8 @@
 /**
  * @file
- * The fused-decoder battery, shared by fused_decode_test (zstdlite and
- * flatelite: the untraced fused path against the traced reference
- * path) and gipfeli_test (the fused decoder against the test-local
+ * The fused-decoder battery, shared by fused_decode_test (the zstdlite
+ * and flatelite decode loops against the test-local materializing
+ * decoders) and gipfeli_test (the fused decoder against the test-local
  * per-bit reference).
  *
  * A fused decoder must agree with its reference in bytes and in

@@ -713,7 +713,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Compress fast paths ---------------------------------------------
 //
 // The software codecs parse through lz77::fastParse unless a caller
-// asks for stats or a trace; MatchFinder is its oracle.
+// asks for stats; MatchFinder is its oracle.
 
 /** A labelled parse configuration. */
 struct ParseSetting

@@ -225,11 +225,33 @@ TEST(CodeBuilderTest, MatchesHeapOracleOnCorpusLiteralHistograms)
     }
 }
 
+/** The one-bit-per-iteration loop reverseBits replaced: the oracle
+ *  for its byte-table form. */
+u16
+loopReverseBits(u16 v, unsigned nbits)
+{
+    u16 r = 0;
+    for (unsigned i = 0; i < nbits; ++i) {
+        r = static_cast<u16>((r << 1) | (v & 1));
+        v >>= 1;
+    }
+    return r;
+}
+
 TEST(CodeBuilderTest, ReverseBits)
 {
     EXPECT_EQ(reverseBits(0b1, 1), 0b1);
     EXPECT_EQ(reverseBits(0b110, 3), 0b011);
     EXPECT_EQ(reverseBits(0b10000000, 8), 0b00000001);
+    // Every value at every width a code can have, bits above the width
+    // included (both forms ignore them).
+    for (unsigned width = 0; width <= 15; ++width) {
+        for (u32 value = 0; value <= 0xffff; ++value) {
+            const u16 v = static_cast<u16>(value);
+            ASSERT_EQ(reverseBits(v, width), loopReverseBits(v, width))
+                << "value " << value << ", width " << width;
+        }
+    }
 }
 
 TEST(EncoderTest, BitCostMatchesLengths)
@@ -240,11 +262,19 @@ TEST(EncoderTest, BitCostMatchesLengths)
     auto table = buildCodeTable(freqs);
     ASSERT_TRUE(table.ok());
     Bytes stream = {'x', 'x', 'y'};
-    auto cost = encodedBitCost(table.value(), stream);
+    auto cost = encodedBitCost(table.value(), countFrequencies(stream));
     ASSERT_TRUE(cost.ok());
     u64 expected = 2 * table.value().lengths['x'] +
                    table.value().lengths['y'];
     EXPECT_EQ(cost.value(), expected);
+    // The count is what is priced: the encoder writes exactly this many.
+    BitWriter writer;
+    ASSERT_TRUE(encode(table.value(), stream, writer).ok());
+    EXPECT_EQ(writer.bitCount(), expected);
+    // A symbol that occurs but has no code cannot be priced.
+    std::vector<u64> uncoded(256, 0);
+    uncoded['z'] = 1;
+    EXPECT_FALSE(encodedBitCost(table.value(), uncoded).ok());
 }
 
 TEST(EncoderTest, RejectsUncodedSymbol)

@@ -7,6 +7,7 @@
 
 #include <cstring>
 
+#include "battery.h"
 #include "corpus/generators.h"
 #include "lz77/match_finder.h"
 
@@ -233,21 +234,6 @@ TEST(MatchFinderTest, HashFunctionSweepRoundTrips)
     }
 }
 
-/** FNV-1a over the little-endian bytes of each value fed in. */
-struct Fnv1a
-{
-    u64 state = 0xcbf29ce484222325ull;
-
-    void
-    add(u64 value)
-    {
-        for (int i = 0; i < 8; ++i) {
-            state ^= (value >> (8 * i)) & 0xff;
-            state *= 0x100000001b3ull;
-        }
-    }
-};
-
 /** One pinned parse geometry and the digest of its parses. */
 struct PinnedGeometry
 {
@@ -331,7 +317,7 @@ TEST(MatchFinderTest, ParsesMatchPinnedDigests)
                     config.hashTable.minMatch = hash == fibonacci64 ? 5 : 4;
                     config.lazyMatching = lazy;
                     MatchFinder finder(config);
-                    Fnv1a digest;
+                    battery::Fnv1a digest;
                     for (const Bytes &input : inputs) {
                         MatchFinderStats stats;
                         const Parse parse = finder.parse(input, &stats);
