@@ -72,7 +72,7 @@ run(const std::string &dir)
                 vtable.caps.defaultLevel,
                 vtable.caps.defaultWindowLog);
             Bytes frame;
-            Status status = vtable.compressInto(raw, params, frame);
+            Status status = codec::compressInto(id, raw, params, frame);
             if (!status.ok()) {
                 std::fprintf(stderr, "%s: %s\n",
                              vtable.caps.name.c_str(),

@@ -40,8 +40,11 @@ runLzBench(codec::CodecId codec, Direction direction, int level,
     result.iterations = iterations;
 
     // Produce the compressed form once (also the decompress input).
+    // One scratch for every call, as a serving context keeps one.
+    codec::Scratch scratch;
     Bytes compressed;
-    CDPU_RETURN_IF_ERROR(vtable.compressInto(data, params, compressed));
+    CDPU_RETURN_IF_ERROR(
+        vtable.compressInto(data, params, compressed, scratch));
     result.compressedBytes = compressed.size();
 
     auto verify = [&](const Bytes &roundtrip) -> Status {
@@ -53,17 +56,17 @@ runLzBench(codec::CodecId codec, Direction direction, int level,
         return Status::okStatus();
     };
 
-    Bytes scratch;
+    Bytes out;
     auto start = Clock::now();
     for (unsigned i = 0; i < iterations; ++i) {
         if (direction == Direction::compress) {
             CDPU_RETURN_IF_ERROR(
-                vtable.compressInto(data, params, scratch));
-            result.compressedBytes = scratch.size();
+                vtable.compressInto(data, params, out, scratch));
+            result.compressedBytes = out.size();
         } else {
             CDPU_RETURN_IF_ERROR(
-                vtable.decompressInto(compressed, scratch));
-            CDPU_RETURN_IF_ERROR(verify(scratch));
+                vtable.decompressInto(compressed, out, scratch));
+            CDPU_RETURN_IF_ERROR(verify(out));
         }
     }
     result.hostSeconds = secondsSince(start);

@@ -29,8 +29,9 @@ namespace cdpu::codec::detail
 class BufferedCompressSession final : public CompressSession
 {
   public:
-    using CompressFn = std::function<Status(
-        ByteSpan input, const CodecParams &params, Bytes &out)>;
+    using CompressFn = std::function<Status(ByteSpan input,
+                                            const CodecParams &params,
+                                            Bytes &out, Scratch &scratch)>;
 
     BufferedCompressSession(CompressFn fn, const CodecParams &params)
         : fn_(std::move(fn)), params_(params)
@@ -50,7 +51,9 @@ class BufferedCompressSession final : public CompressSession
         if (finished_)
             return failed_;
         finished_ = true;
-        failed_ = fn_(ByteSpan(in_.data(), in_.size()), params_, out_);
+        Scratch scratch;
+        failed_ = fn_(ByteSpan(in_.data(), in_.size()), params_, out_,
+                      scratch);
         return failed_;
     }
 
@@ -78,7 +81,7 @@ class BufferedDecompressSession final : public DecompressSession
 {
   public:
     using DecompressFn =
-        std::function<Status(ByteSpan input, Bytes &out)>;
+        std::function<Status(ByteSpan input, Bytes &out, Scratch &scratch)>;
 
     explicit BufferedDecompressSession(DecompressFn fn)
         : fn_(std::move(fn))
@@ -98,7 +101,8 @@ class BufferedDecompressSession final : public DecompressSession
         if (finished_)
             return failed_;
         finished_ = true;
-        failed_ = fn_(ByteSpan(in_.data(), in_.size()), out_);
+        Scratch scratch;
+        failed_ = fn_(ByteSpan(in_.data(), in_.size()), out_, scratch);
         return failed_;
     }
 

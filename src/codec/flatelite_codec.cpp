@@ -20,18 +20,19 @@ namespace
 
 Status
 flateliteCompressInto(ByteSpan input, const CodecParams &params,
-                      Bytes &out)
+                      Bytes &out, Scratch &scratch)
 {
     flatelite::CompressorConfig config;
     config.level = params.level;
     config.windowLog = params.windowLog;
-    return flatelite::compressInto(input, out, config);
+    return flatelite::compressInto(input, out, config, scratch.parse,
+                                   scratch.flatelite);
 }
 
 Status
-flateliteDecompressInto(ByteSpan input, Bytes &out)
+flateliteDecompressInto(ByteSpan input, Bytes &out, Scratch &scratch)
 {
-    return flatelite::decompressInto(input, out);
+    return flatelite::decompressInto(input, out, scratch.flatelite);
 }
 
 std::size_t

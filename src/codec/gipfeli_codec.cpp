@@ -19,14 +19,14 @@ namespace
 
 Status
 gipfeliCompressInto(ByteSpan input, const CodecParams & /*params*/,
-                    Bytes &out)
+                    Bytes &out, Scratch &scratch)
 {
-    gipfeli::compressInto(input, out);
+    gipfeli::compressInto(input, out, scratch.parse, scratch.gipfeli);
     return Status::okStatus();
 }
 
 Status
-gipfeliDecompressInto(ByteSpan input, Bytes &out)
+gipfeliDecompressInto(ByteSpan input, Bytes &out, Scratch & /*scratch*/)
 {
     return gipfeli::decompressInto(input, out);
 }

@@ -102,24 +102,29 @@ makePipelineVTable(const CodecSpec &spec)
 
     std::vector<transform::StageId> stages = spec.stages;
 
-    vtable->compressInto = [stages, terminal](
-                               ByteSpan input,
-                               const CodecParams &params,
-                               Bytes &out) -> Status {
-        Bytes staged, next;
+    // The stage chain runs through the scratch's two staging buffers;
+    // the terminal codec uses the rest of the scratch.
+    vtable->compressInto = [stages, terminal](ByteSpan input,
+                                              const CodecParams &params,
+                                              Bytes &out,
+                                              Scratch &scratch) -> Status {
+        Bytes &staged = scratch.staged;
+        Bytes &next = scratch.next;
         ByteSpan view = input;
         for (transform::StageId stage : stages) {
             CDPU_RETURN_IF_ERROR(transform::apply(stage, view, next));
             staged.swap(next);
             view = ByteSpan(staged.data(), staged.size());
         }
-        return terminal->compressInto(view, params, out);
+        return terminal->compressInto(view, params, out, scratch);
     };
 
-    vtable->decompressInto = [stages, terminal](ByteSpan input,
-                                                Bytes &out) -> Status {
-        Bytes staged, next;
-        CDPU_RETURN_IF_ERROR(terminal->decompressInto(input, staged));
+    vtable->decompressInto = [stages, terminal](ByteSpan input, Bytes &out,
+                                                Scratch &scratch) -> Status {
+        Bytes &staged = scratch.staged;
+        Bytes &next = scratch.next;
+        CDPU_RETURN_IF_ERROR(
+            terminal->decompressInto(input, staged, scratch));
         for (std::size_t i = stages.size(); i-- > 0;) {
             Bytes &target = i == 0 ? out : next;
             CDPU_RETURN_IF_ERROR(transform::invert(

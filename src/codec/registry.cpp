@@ -238,13 +238,15 @@ Status
 compressInto(CodecId id, ByteSpan input, const CodecParams &params,
              Bytes &out)
 {
-    return registry(id).compressInto(input, params, out);
+    Scratch scratch;
+    return registry(id).compressInto(input, params, out, scratch);
 }
 
 Status
 decompressInto(CodecId id, ByteSpan input, Bytes &out)
 {
-    return registry(id).decompressInto(input, out);
+    Scratch scratch;
+    return registry(id).decompressInto(input, out, scratch);
 }
 
 std::unique_ptr<CompressSession>

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "codec/codec.h"
+#include "codec/scratch.h"
 #include "codec/session.h"
 #include "transform/transform.h"
 
@@ -111,13 +112,15 @@ struct CodecVTable
     CodecCaps caps;
 
     /** Compresses @p input into @p out (cleared first, capacity kept —
-     *  the context-reuse contract of the per-codec *Into calls). */
+     *  the context-reuse contract of the per-codec *Into calls),
+     *  rebuilding its tables and buffers in @p scratch. */
     std::function<Status(ByteSpan input, const CodecParams &params,
-                         Bytes &out)>
+                         Bytes &out, Scratch &scratch)>
         compressInto;
 
     /** Decompresses a whole buffer produced by compressInto. */
-    std::function<Status(ByteSpan input, Bytes &out)> decompressInto;
+    std::function<Status(ByteSpan input, Bytes &out, Scratch &scratch)>
+        decompressInto;
 
     /** Upper bound on compressInto output for @p input_size bytes. */
     std::function<std::size_t(std::size_t input_size)> maxCompressedSize;
@@ -139,7 +142,8 @@ const CodecVTable &registry(CodecId id);
  *  walkers that reason about wire formats dispatch on this. */
 BaseCodecId terminalBase(CodecId id);
 
-/** Convenience wrappers over registry(id). */
+/** Convenience wrappers over registry(id); the two whole-buffer calls
+ *  run on a scratch of their own. */
 Status compressInto(CodecId id, ByteSpan input,
                     const CodecParams &params, Bytes &out);
 Status decompressInto(CodecId id, ByteSpan input, Bytes &out);

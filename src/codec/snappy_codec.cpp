@@ -21,15 +21,15 @@ namespace
 
 Status
 snappyCompressInto(ByteSpan input, const CodecParams & /*params*/,
-                   Bytes &out)
+                   Bytes &out, Scratch &scratch)
 {
     // Snappy has no levels and a fixed 64 KiB window.
-    snappy::compressInto(input, out);
+    snappy::compressInto(input, out, scratch.parse);
     return Status::okStatus();
 }
 
 Status
-snappyDecompressInto(ByteSpan input, Bytes &out)
+snappyDecompressInto(ByteSpan input, Bytes &out, Scratch & /*scratch*/)
 {
     return snappy::decompressInto(input, out);
 }

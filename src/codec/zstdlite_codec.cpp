@@ -22,18 +22,19 @@ namespace
 
 Status
 zstdliteCompressInto(ByteSpan input, const CodecParams &params,
-                     Bytes &out)
+                     Bytes &out, Scratch &scratch)
 {
     zstdlite::CompressorConfig config;
     config.level = params.level;
     config.windowLog = params.windowLog;
-    return zstdlite::compressInto(input, out, config);
+    return zstdlite::compressInto(input, out, config, scratch.parse,
+                                  scratch.zstdlite);
 }
 
 Status
-zstdliteDecompressInto(ByteSpan input, Bytes &out)
+zstdliteDecompressInto(ByteSpan input, Bytes &out, Scratch &scratch)
 {
-    return zstdlite::decompressInto(input, out);
+    return zstdlite::decompressInto(input, out, scratch.zstdlite);
 }
 
 std::size_t

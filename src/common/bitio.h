@@ -58,9 +58,12 @@ bitWindow(const u8 *data, std::size_t size, u64 start)
  * whole accumulator at a byte cursor with one unaligned 8-byte store
  * and moves the cursor past the bytes it completed, so there is no
  * branch on whether a byte completed. The buffer is kept at least 8
- * bytes past the cursor, and finish() trims it. finish() pads the final
- * partial byte with a terminating 1-bit followed by zeros, exactly like
- * zstd's bitstream, so a backward reader can locate the last valid bit.
+ * bytes past the cursor. terminate() pads the final partial byte with
+ * a terminating 1-bit followed by zeros, exactly like zstd's
+ * bitstream, so a backward reader can locate the last valid bit.
+ *
+ * A writer kept across calls reuses its buffer: clear() starts the
+ * next stream in it without giving up its capacity.
  */
 class BitWriter
 {
@@ -87,20 +90,37 @@ class BitWriter
     u64 bitCount() const { return u64{pos_} * 8 + filled_; }
 
     /**
-     * Terminates the stream with a marker 1-bit and returns the bytes.
-     * The writer is left empty and reusable.
+     * Terminates the stream with a marker 1-bit and returns its bytes,
+     * which stay valid until the next put() or clear().
+     */
+    ByteSpan
+    terminate()
+    {
+        put(1, 1);
+        // That put() already stored the partial last byte at the cursor.
+        return ByteSpan(bytes_.data(), pos_ + (filled_ > 0 ? 1 : 0));
+    }
+
+    /** Forgets the stream, keeping the buffer for the next one. */
+    void
+    clear()
+    {
+        pos_ = 0;
+        acc_ = 0;
+        filled_ = 0;
+    }
+
+    /**
+     * Terminates the stream and moves its bytes out. The writer is left
+     * empty and reusable.
      */
     Bytes
     finish()
     {
-        put(1, 1);
-        // That put() already stored the partial last byte at the cursor.
-        bytes_.resize(pos_ + (filled_ > 0 ? 1 : 0));
+        bytes_.resize(terminate().size());
         Bytes out = std::move(bytes_);
         bytes_.clear();
-        pos_ = 0;
-        acc_ = 0;
-        filled_ = 0;
+        clear();
         return out;
     }
 

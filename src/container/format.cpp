@@ -65,7 +65,8 @@ write(codec::CodecId id, ByteSpan input, const WriteOptions &options,
     // Compress every block first: the index needs the compressed
     // sizes before a single header byte can be written.
     Bytes data;
-    Bytes scratch;
+    Bytes block;
+    codec::Scratch scratch;
     std::vector<std::pair<u64, u64>> sizes; // (compSize, regenSize)
     sizes.reserve(block_count);
     for (std::size_t start = 0; start < input.size();
@@ -73,9 +74,9 @@ write(codec::CodecId id, ByteSpan input, const WriteOptions &options,
         const std::size_t take =
             std::min(block_bytes, input.size() - start);
         CDPU_RETURN_IF_ERROR(vtable.compressInto(
-            input.subspan(start, take), params, scratch));
-        sizes.emplace_back(scratch.size(), take);
-        data.insert(data.end(), scratch.begin(), scratch.end());
+            input.subspan(start, take), params, block, scratch));
+        sizes.emplace_back(block.size(), take);
+        data.insert(data.end(), block.begin(), block.end());
     }
 
     out.insert(out.end(), kMagic.begin(), kMagic.end());

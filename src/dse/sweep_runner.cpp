@@ -14,6 +14,7 @@ using Direction = codec::Direction;
 
 SweepRunner::SweepRunner(const hcb::Suite &suite) : suite_(&suite)
 {
+    codec::Scratch scratch;
     for (const auto &file : suite.files) {
         totalBytes_ += file.data.size();
 
@@ -25,7 +26,7 @@ SweepRunner::SweepRunner(const hcb::Suite &suite) : suite_(&suite)
             vtable.caps.clamp(file.level, file.windowLog);
         Bytes compressed;
         Status status =
-            vtable.compressInto(file.data, params, compressed);
+            vtable.compressInto(file.data, params, compressed, scratch);
         assert(status.ok());
         (void)status;
 

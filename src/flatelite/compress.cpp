@@ -1,11 +1,10 @@
 #include "flatelite/compress.h"
 
 #include <algorithm>
+#include <array>
 
-#include "common/bitio.h"
 #include "common/varint.h"
-#include "huffman/code_builder.h"
-#include "lz77/fast_parse.h"
+#include "huffman/encoder.h"
 
 namespace cdpu::flatelite
 {
@@ -37,28 +36,23 @@ flateLevelParameters(int level, unsigned window_log)
 namespace
 {
 
-struct PendingBlock
-{
-    std::vector<lz77::Sequence> sequences;
-    std::size_t literalStart = 0; ///< Input offset of first literal.
-    std::size_t regenSize = 0;
-};
-
-/** Encodes one block's symbol stream: per sequence the literal run,
- *  then length + distance codes; trailing literals; EOB. */
+/** Encodes one block, @p sequences and then the literals up to
+ *  @p regen_size bytes from @p block_start: per sequence the literal
+ *  run, then length + distance codes; trailing literals; EOB. */
 Status
 encodeBlock(ByteSpan input, std::size_t block_start,
-            const PendingBlock &block, bool last, Bytes &out,
-            FileTrace *trace)
+            std::span<const lz77::Sequence> sequences,
+            std::size_t regen_size, bool last, Bytes &out,
+            Scratch &scratch, FileTrace *trace)
 {
-    ByteSpan block_input(input.data() + block_start, block.regenSize);
+    ByteSpan block_input(input.data() + block_start, regen_size);
 
     // Pass 1: symbol statistics over both alphabets.
-    std::vector<u64> litlen_freqs(kLitLenAlphabet, 0);
-    std::vector<u64> dist_freqs(kDistanceAlphabet, 0);
+    std::array<u64, kLitLenAlphabet> litlen_freqs{};
+    std::array<u64, kDistanceAlphabet> dist_freqs{};
     std::size_t cursor = 0;
     std::size_t symbol_count = 0;
-    for (const auto &seq : block.sequences) {
+    for (const auto &seq : sequences) {
         for (u32 i = 0; i < seq.literalLength; ++i)
             ++litlen_freqs[block_input[cursor + i]];
         cursor += seq.literalLength;
@@ -72,47 +66,43 @@ encodeBlock(ByteSpan input, std::size_t block_start,
     symbol_count += block_input.size() - cursor + 1;
     ++litlen_freqs[kEndOfBlock];
 
-    auto litlen_table = huffman::buildCodeTable(litlen_freqs, 14);
-    if (!litlen_table.ok())
-        return litlen_table.status();
-    bool has_distances = std::any_of(dist_freqs.begin(),
-                                     dist_freqs.end(),
-                                     [](u64 f) { return f != 0; });
-    huffman::CodeTable dist_table;
-    if (has_distances) {
-        auto built = huffman::buildCodeTable(dist_freqs, 14);
-        if (!built.ok())
-            return built.status();
-        dist_table = std::move(built).value();
+    huffman::CodeTable &lt = scratch.codes.litlen;
+    huffman::CodeTable &dt = scratch.codes.dist;
+    CDPU_RETURN_IF_ERROR(huffman::buildCodeTable(litlen_freqs, 14, lt));
+    if (std::any_of(dist_freqs.begin(), dist_freqs.end(),
+                    [](u64 f) { return f != 0; })) {
+        CDPU_RETURN_IF_ERROR(huffman::buildCodeTable(dist_freqs, 14, dt));
+    } else {
+        dt.lengths.assign(kDistanceAlphabet, 0);
+        dt.codes.assign(kDistanceAlphabet, 0);
     }
-    dist_table.lengths.resize(kDistanceAlphabet, 0);
-    dist_table.codes.resize(kDistanceAlphabet, 0);
 
-    // Pass 2: emit the bitstream.
-    BitWriter writer;
-    const huffman::CodeTable &lt = litlen_table.value();
-    auto put_litlen = [&](u16 symbol) {
-        writer.put(lt.codes[symbol], lt.lengths[symbol]);
-    };
+    // Pass 2: emit the bitstream. Literal runs go through the packed
+    // Huffman encoder; a match's four fields (at most 46 bits) go out
+    // in one put().
+    BitWriter &writer = scratch.stream;
+    writer.clear();
     cursor = 0;
-    for (const auto &seq : block.sequences) {
-        for (u32 i = 0; i < seq.literalLength; ++i)
-            put_litlen(block_input[cursor + i]);
+    for (const auto &seq : sequences) {
+        huffman::encode(lt, block_input.subspan(cursor, seq.literalLength),
+                        writer);
         cursor += seq.literalLength;
-        FlateBin len_bin = lengthBin(seq.matchLength);
-        put_litlen(len_bin.code);
-        writer.put(seq.matchLength - len_bin.baseline,
-                   len_bin.extraBits);
-        FlateBin dist_bin = distanceBin(seq.offset);
-        writer.put(dist_table.codes[dist_bin.code],
-                   dist_table.lengths[dist_bin.code]);
-        writer.put(seq.offset - dist_bin.baseline, dist_bin.extraBits);
+        const FlateBin len_bin = lengthBin(seq.matchLength);
+        const FlateBin dist_bin = distanceBin(seq.offset);
+        u64 bits = lt.codes[len_bin.code];
+        unsigned used = lt.lengths[len_bin.code];
+        bits |= u64{seq.matchLength - len_bin.baseline} << used;
+        used += len_bin.extraBits;
+        bits |= u64{dt.codes[dist_bin.code]} << used;
+        used += dt.lengths[dist_bin.code];
+        bits |= u64{seq.offset - dist_bin.baseline} << used;
+        used += dist_bin.extraBits;
+        writer.put(bits, used);
         cursor += seq.matchLength;
     }
-    for (std::size_t i = cursor; i < block_input.size(); ++i)
-        put_litlen(block_input[i]);
-    put_litlen(kEndOfBlock);
-    Bytes stream = writer.finish();
+    huffman::encode(lt, block_input.subspan(cursor), writer);
+    writer.put(lt.codes[kEndOfBlock], lt.lengths[kEndOfBlock]);
+    const ByteSpan stream = writer.terminate();
 
     // Header overhead: the two packed length tables.
     std::size_t header_bytes =
@@ -123,29 +113,30 @@ encodeBlock(ByteSpan input, std::size_t block_start,
         header_bytes + stream.size() + 8 < block_input.size();
     if (compressed) {
         out.push_back(static_cast<u8>(last_bit | 2));
-        putVarint(out, block.regenSize);
+        putVarint(out, regen_size);
         huffman::packLengths(lt.lengths, kLitLenAlphabet, out);
-        huffman::packLengths(dist_table.lengths, kDistanceAlphabet, out);
+        huffman::packLengths(dt.lengths, kDistanceAlphabet, out);
         putVarint(out, stream.size());
         out.insert(out.end(), stream.begin(), stream.end());
     } else {
         out.push_back(last_bit);
-        putVarint(out, block.regenSize);
+        putVarint(out, regen_size);
         out.insert(out.end(), block_input.begin(), block_input.end());
     }
 
     if (trace) {
         BlockTrace &block_trace = trace->blocks.emplace_back();
-        block_trace.regenSize = block.regenSize;
+        block_trace.regenSize = regen_size;
         block_trace.compressed = compressed;
         if (compressed) {
             block_trace.symbolCount = symbol_count;
             block_trace.streamBytes = stream.size();
-            block_trace.sequences = block.sequences;
+            block_trace.sequences.assign(sequences.begin(),
+                                         sequences.end());
             std::size_t match_bytes = 0;
-            for (const auto &seq : block.sequences)
+            for (const auto &seq : sequences)
                 match_bytes += seq.matchLength;
-            block_trace.literalBytes = block.regenSize - match_bytes;
+            block_trace.literalBytes = regen_size - match_bytes;
         }
     }
     return Status::okStatus();
@@ -155,6 +146,7 @@ encodeBlock(ByteSpan input, std::size_t block_start,
 
 Status
 compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
+             lz77::ParseScratch &parse_scratch, Scratch &scratch,
              FileTrace *trace, lz77::MatchFinderStats *stats_out)
 {
     if (config.level < 1 || config.level > 9)
@@ -178,39 +170,57 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
     // Only a stats request needs MatchFinder, whose probe counts the
     // CDPU model reads; the specialized parse gives the same sequences,
     // so a trace is the same from either.
-    const lz77::Parse parse =
-        stats_out ? lz77::MatchFinder(mf_config).parse(input, stats_out)
-                  : lz77::fastParse(input, mf_config);
+    lz77::Parse &parse = parse_scratch.parse;
+    if (stats_out)
+        parse = lz77::MatchFinder(mf_config).parse(input, stats_out);
+    else
+        lz77::fastParse(input, mf_config, parse_scratch.table, parse);
 
-    PendingBlock block;
+    // A block is a run of the parse's sequences: [first, end).
+    const std::span<const lz77::Sequence> sequences = parse.sequences;
+    std::size_t first = 0;
+    std::size_t regen_size = 0;
     std::size_t cursor = 0;
     std::size_t block_start = 0;
 
-    auto flush = [&](bool last) -> Status {
-        CDPU_RETURN_IF_ERROR(
-            encodeBlock(input, block_start, block, last, out, trace));
+    auto flush = [&](std::size_t end, bool last) -> Status {
+        CDPU_RETURN_IF_ERROR(encodeBlock(
+            input, block_start, sequences.subspan(first, end - first),
+            regen_size, last, out, scratch, trace));
+        first = end;
+        regen_size = 0;
         block_start = cursor;
-        block = PendingBlock{};
         return Status::okStatus();
     };
 
-    for (const auto &seq : parse.sequences) {
-        block.sequences.push_back(seq);
-        block.regenSize += seq.literalLength + seq.matchLength;
-        cursor += seq.literalLength + seq.matchLength;
-        if (block.regenSize >= kBlockTarget)
-            CDPU_RETURN_IF_ERROR(flush(false));
+    for (std::size_t i = 0; i < sequences.size(); ++i) {
+        const std::size_t bytes =
+            sequences[i].literalLength + sequences[i].matchLength;
+        regen_size += bytes;
+        cursor += bytes;
+        if (regen_size >= kBlockTarget)
+            CDPU_RETURN_IF_ERROR(flush(i + 1, false));
     }
     std::size_t tail = input.size() - cursor;
-    block.regenSize += tail;
+    regen_size += tail;
     cursor += tail;
     // Always emit a final block so the last-block flag is present; an
     // empty trailing block degenerates to a zero-length raw block.
-    CDPU_RETURN_IF_ERROR(flush(true));
+    CDPU_RETURN_IF_ERROR(flush(sequences.size(), true));
 
     if (trace)
         trace->compressedSize = out.size();
     return Status::okStatus();
+}
+
+Status
+compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
+             FileTrace *trace, lz77::MatchFinderStats *stats_out)
+{
+    lz77::ParseScratch parse;
+    Scratch scratch;
+    return compressInto(input, out, config, parse, scratch, trace,
+                        stats_out);
 }
 
 Result<Bytes>

@@ -6,8 +6,9 @@
 #ifndef CDPU_FLATELITE_COMPRESS_H_
 #define CDPU_FLATELITE_COMPRESS_H_
 
-#include "lz77/match_finder.h"
 #include "flatelite/format.h"
+#include "flatelite/scratch.h"
+#include "lz77/fast_parse.h"
 
 namespace cdpu::flatelite
 {
@@ -35,8 +36,16 @@ Result<Bytes> compress(ByteSpan input, const CompressorConfig &config = {},
 
 /**
  * Context-reuse variant of compress(): emits into @p out, clearing it
- * first but keeping its capacity (see snappy::compressInto).
+ * first but keeping its capacity (see snappy::compressInto), and
+ * builds its parse, codes and bitstreams in @p parse and @p scratch.
  */
+Status compressInto(ByteSpan input, Bytes &out,
+                    const CompressorConfig &config,
+                    lz77::ParseScratch &parse, Scratch &scratch,
+                    FileTrace *trace = nullptr,
+                    lz77::MatchFinderStats *stats = nullptr);
+
+/** compressInto() on a parse and a scratch of its own. */
 Status compressInto(ByteSpan input, Bytes &out,
                     const CompressorConfig &config = {},
                     FileTrace *trace = nullptr,

@@ -16,145 +16,31 @@ peekFrameHeader(ByteSpan data)
     return readFrameHeader(data, pos);
 }
 
-Result<BlockCodes>
-readBlockCodes(ByteSpan data, std::size_t &pos)
+Status
+readBlockCodes(ByteSpan data, std::size_t &pos, BlockCodes &codes)
 {
     const std::size_t litlen_bytes = (kLitLenAlphabet + 1) / 2;
     const std::size_t dist_bytes = kDistanceAlphabet / 2;
     if (pos + litlen_bytes + dist_bytes > data.size())
         return Status::corrupt("flate tables truncated");
-    auto litlen_lengths = huffman::unpackLengths(
-        data.subspan(pos, litlen_bytes), kLitLenAlphabet);
+    huffman::unpackLengths(data.subspan(pos, litlen_bytes),
+                           kLitLenAlphabet, codes.litlen.lengths);
     pos += litlen_bytes;
-    auto dist_lengths =
-        huffman::unpackLengths(data.subspan(pos, dist_bytes),
-                               kDistanceAlphabet);
+    huffman::unpackLengths(data.subspan(pos, dist_bytes),
+                           kDistanceAlphabet, codes.dist.lengths);
     pos += dist_bytes;
 
-    BlockCodes codes;
-    auto litlen = huffman::codesFromLengths(litlen_lengths);
-    if (!litlen.ok())
-        return litlen.status();
-    codes.litlen = std::move(litlen).value();
+    CDPU_RETURN_IF_ERROR(huffman::codesFromLengths(codes.litlen));
     codes.hasDistances =
-        std::any_of(dist_lengths.begin(), dist_lengths.end(),
+        std::any_of(codes.dist.lengths.begin(), codes.dist.lengths.end(),
                     [](u8 len) { return len != 0; });
-    if (codes.hasDistances) {
-        auto dist = huffman::codesFromLengths(dist_lengths);
-        if (!dist.ok())
-            return dist.status();
-        codes.dist = std::move(dist).value();
-    }
-    return codes;
+    if (codes.hasDistances)
+        CDPU_RETURN_IF_ERROR(huffman::codesFromLengths(codes.dist));
+    return Status::okStatus();
 }
 
 namespace
 {
-
-/**
- * Two-level decode table for the fused loop, built the way zlib's
- * inflate builds its own: a root indexed by the next kRootBits bits
- * (fewer when no code is that long) and, for longer codes, a
- * second-level table per root prefix. Each entry carries what its
- * symbol means, so a literal, a length or a distance costs one or two
- * L1-resident lookups and no further binning.
- */
-class FastTable
-{
-  public:
-    static constexpr unsigned kRootBits = 10;
-
-    /** Entry kinds; kBase carries its extra-bit count in the low 4. */
-    static constexpr u8 kLiteral = 0x00;
-    static constexpr u8 kBase = 0x10; ///< value = baseline; | extra bits.
-    static constexpr u8 kEnd = 0x20;
-    static constexpr u8 kLink = 0x40; ///< value = sub-table offset.
-
-    struct Entry
-    {
-        u16 value = 0; ///< Literal byte, baseline or sub-table offset.
-        u8 bits = 0;   ///< Code bits at this level; 0 marks no code.
-        u8 op = kLiteral;
-    };
-
-    /** @p meaning maps a symbol to its entry's value and op. */
-    template <typename Meaning>
-    FastTable(const huffman::CodeTable &codes, Meaning meaning)
-        : rootBits_(std::min(codes.maxBits, kRootBits)),
-          subBits_(codes.maxBits - rootBits_),
-          entries_(std::size_t{1} << rootBits_)
-    {
-        const u32 root_mask = (1u << rootBits_) - 1;
-        for (std::size_t sym = 0; sym < codes.numSymbols(); ++sym) {
-            const unsigned len = codes.lengths[sym];
-            if (len == 0)
-                continue;
-            Entry entry = meaning(static_cast<u16>(sym));
-            u32 code = codes.codes[sym];
-            std::size_t base = 0;
-            std::size_t span = std::size_t{1} << rootBits_;
-            if (len > rootBits_) {
-                // Codes are prefix-free, so a root slot holding a long
-                // code's prefix holds only links.
-                const u32 root = code & root_mask;
-                if (entries_[root].op != kLink) {
-                    entries_[root] = {static_cast<u16>(entries_.size()),
-                                      static_cast<u8>(rootBits_), kLink};
-                    entries_.resize(entries_.size() +
-                                    (std::size_t{1} << subBits_));
-                }
-                base = entries_[root].value;
-                span = std::size_t{1} << subBits_;
-                code >>= rootBits_;
-            }
-            entry.bits = static_cast<u8>(len > rootBits_ ? len - rootBits_
-                                                          : len);
-            for (std::size_t idx = code; idx < span;
-                 idx += std::size_t{1} << entry.bits)
-                entries_[base + idx] = entry;
-        }
-    }
-
-    /** The table as plain values, for the decode loop to keep in
-     *  registers (stores through the output pointer may alias any
-     *  member it would otherwise reload). */
-    struct View
-    {
-        const Entry *entries;
-        unsigned rootBits;
-        u32 rootMask;
-        u32 subMask;
-
-        /** The entry for the code at the bottom of @p window; @p used
-         *  gets the bits it spans. A result with bits == 0 is no code. */
-        Entry
-        decode(u64 window, unsigned &used) const
-        {
-            Entry entry = entries[window & rootMask];
-            used = entry.bits;
-            if (entry.op == kLink) {
-                entry = entries[entry.value +
-                                ((window >> rootBits) & subMask)];
-                used = rootBits + entry.bits;
-            }
-            return entry;
-        }
-    };
-
-    View
-    view() const
-    {
-        return {entries_.data(), rootBits_, (1u << rootBits_) - 1,
-                (1u << subBits_) - 1};
-    }
-
-  private:
-    unsigned rootBits_;
-    unsigned subBits_;
-    std::vector<Entry> entries_;
-};
-
-static_assert(sizeof(FastTable::Entry) == 4);
 
 /** An element writes at most one match plus wildCopy's slop. */
 constexpr std::size_t kElementRoom = kMaxMatchLength + mem::kWildCopySlop;
@@ -192,12 +78,13 @@ growForElement(Bytes &out, std::size_t op, std::size_t block_end)
  */
 template <bool kTraced>
 Status
-decodeBlockFused(const BlockCodes &codes, ByteSpan stream, u64 window,
+decodeBlockFused(Scratch &scratch, ByteSpan stream, u64 window,
                  std::size_t regen_size, Bytes &out, std::size_t &op,
                  BlockTrace *trace)
 {
     using Entry = FastTable::Entry;
-    const FastTable litlen_table(codes.litlen, [](u16 sym) {
+    const BlockCodes &codes = scratch.codes;
+    scratch.litlen.rebuild(codes.litlen, [](u16 sym) {
         if (sym < 256)
             return Entry{sym, 0, FastTable::kLiteral};
         if (sym == kEndOfBlock)
@@ -207,15 +94,15 @@ decodeBlockFused(const BlockCodes &codes, ByteSpan stream, u64 window,
         return Entry{static_cast<u16>(bin.baseline), 0,
                      static_cast<u8>(FastTable::kBase | bin.extraBits)};
     });
-    const FastTable dist_table(
-        codes.hasDistances ? codes.dist : huffman::CodeTable{},
-        [](u16 sym) {
+    static const huffman::CodeTable kNoCodes;
+    scratch.dist.rebuild(
+        codes.hasDistances ? codes.dist : kNoCodes, [](u16 sym) {
             const FlateBin bin = distanceFromCode(sym).value();
             return Entry{static_cast<u16>(bin.baseline), 0,
                          static_cast<u8>(FastTable::kBase | bin.extraBits)};
         });
-    const FastTable::View litlen = litlen_table.view();
-    const FastTable::View dist = dist_table.view();
+    const FastTable::View litlen = scratch.litlen.view();
+    const FastTable::View dist = scratch.dist.view();
 
     const std::size_t block_end = op + regen_size;
     std::size_t match_end = op; // Where the trace's literal run starts.
@@ -299,7 +186,8 @@ decodeBlockFused(const BlockCodes &codes, ByteSpan stream, u64 window,
 } // namespace
 
 Status
-decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
+decompressInto(ByteSpan data, Bytes &out, Scratch &scratch,
+               FileTrace *trace)
 {
     out.clear();
     std::size_t pos = 0;
@@ -353,9 +241,7 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
             continue;
         }
 
-        auto codes = readBlockCodes(data, pos);
-        if (!codes.ok())
-            return codes.status();
+        CDPU_RETURN_IF_ERROR(readBlockCodes(data, pos, scratch.codes));
         auto stream_bytes = getVarint(data, pos);
         if (!stream_bytes.ok())
             return stream_bytes.status();
@@ -369,9 +255,9 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
         std::size_t op = out.size();
         Status status =
             block_trace
-                ? decodeBlockFused<true>(codes.value(), stream, window,
+                ? decodeBlockFused<true>(scratch, stream, window,
                                          regen_size, out, op, block_trace)
-                : decodeBlockFused<false>(codes.value(), stream, window,
+                : decodeBlockFused<false>(scratch, stream, window,
                                           regen_size, out, op, nullptr);
         out.resize(op);
         CDPU_RETURN_IF_ERROR(status);
@@ -382,6 +268,13 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
     if (pos != data.size())
         return Status::corrupt("trailing bytes after flate frame");
     return Status::okStatus();
+}
+
+Status
+decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
+{
+    Scratch scratch;
+    return decompressInto(data, out, scratch, trace);
 }
 
 Result<Bytes>

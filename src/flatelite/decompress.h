@@ -7,7 +7,7 @@
 #define CDPU_FLATELITE_DECOMPRESS_H_
 
 #include "flatelite/format.h"
-#include "huffman/code_builder.h"
+#include "flatelite/scratch.h"
 
 namespace cdpu::flatelite
 {
@@ -15,18 +15,9 @@ namespace cdpu::flatelite
 /** Parses only the frame header. */
 Result<FrameHeader> peekFrameHeader(ByteSpan data);
 
-/** A compressed block's canonical codes; the distance code is absent
- *  when the block transmits no distance lengths. */
-struct BlockCodes
-{
-    huffman::CodeTable litlen;
-    huffman::CodeTable dist;
-    bool hasDistances = false;
-};
-
 /** Parses a compressed block's packed code lengths at @p pos (advanced
- *  past them) and rebuilds both canonical codes. */
-Result<BlockCodes> readBlockCodes(ByteSpan data, std::size_t &pos);
+ *  past them) and rebuilds both canonical codes in @p codes. */
+Status readBlockCodes(ByteSpan data, std::size_t &pos, BlockCodes &codes);
 
 /**
  * Decompresses a FlateLite frame; validates window-bounded distances,
@@ -38,9 +29,14 @@ Result<Bytes> decompress(ByteSpan data, FileTrace *trace = nullptr);
 
 /**
  * Context-reuse variant of decompress(): decodes into @p out, clearing
- * it first but keeping its capacity (see snappy::decompressInto). On
+ * it first but keeping its capacity (see snappy::decompressInto), and
+ * rebuilds each block's codes and decode tables in @p scratch. On
  * error @p out is left in an unspecified (but valid) state.
  */
+Status decompressInto(ByteSpan data, Bytes &out, Scratch &scratch,
+                      FileTrace *trace = nullptr);
+
+/** decompressInto() on a scratch of its own. */
 Status decompressInto(ByteSpan data, Bytes &out,
                       FileTrace *trace = nullptr);
 

@@ -1,29 +1,7 @@
 #include "fse/encoder.h"
 
-#include "common/histogram.h"
-
 namespace cdpu::fse
 {
-
-Status
-Encoder::encode(u8 symbol, BitWriter &writer)
-{
-    if (symbol >= table_->counts.size() || table_->counts[symbol] == 0)
-        return Status::invalid("fse symbol has zero probability");
-    const u32 count = table_->counts[symbol];
-
-    // Renormalize: emit low bits until state >> nb lands in
-    // [count, 2*count), then map the sub-state to the next state.
-    unsigned nb = table_->tableLog - floorLog2(count);
-    if ((state_ >> nb) < count)
-        --nb;
-    writer.put(state_ & ((1u << nb) - 1), nb);
-    u32 sub_state = state_ >> nb;
-    state_ = table_->stateMap[table_->cumul[symbol] +
-                              (sub_state - count)];
-    ++encoded_;
-    return Status::okStatus();
-}
 
 void
 Encoder::flushState(BitWriter &writer)
@@ -39,8 +17,12 @@ encodeAll(const EncodeTable &table, ByteSpan symbols, BitWriter &writer)
 {
     Encoder encoder(table);
     u64 start_bits = writer.bitCount();
-    for (std::size_t i = symbols.size(); i-- > 0;)
-        CDPU_RETURN_IF_ERROR(encoder.encode(symbols[i], writer));
+    for (std::size_t i = symbols.size(); i-- > 0;) {
+        const u8 sym = symbols[i];
+        if (sym >= table.counts.size() || table.counts[sym] == 0)
+            return Status::invalid("fse symbol has zero probability");
+        encoder.encode(sym, writer);
+    }
     encoder.flushState(writer);
     return writer.bitCount() - start_bits;
 }

@@ -13,6 +13,7 @@
 #define CDPU_FSE_ENCODER_H_
 
 #include "common/bitio.h"
+#include "common/histogram.h"
 #include "fse/table.h"
 
 namespace cdpu::fse
@@ -32,7 +33,20 @@ class Encoder
      * appending the state-transition bits to @p writer.
      * @pre The symbol has a nonzero normalized count.
      */
-    Status encode(u8 symbol, BitWriter &writer);
+    void
+    encode(u8 symbol, BitWriter &writer)
+    {
+        const u32 count = table_->counts[symbol];
+        // Renormalize: emit low bits until state >> nb lands in
+        // [count, 2*count), then map the sub-state to the next state.
+        unsigned nb = table_->tableLog - floorLog2(count);
+        if ((state_ >> nb) < count)
+            --nb;
+        writer.put(state_ & ((1u << nb) - 1), nb);
+        state_ = table_->stateMap[table_->cumul[symbol] +
+                                  ((state_ >> nb) - count)];
+        ++encoded_;
+    }
 
     /** Writes the final state (tableLog bits); call once, last. */
     void flushState(BitWriter &writer);

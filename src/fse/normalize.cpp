@@ -8,8 +8,9 @@
 namespace cdpu::fse
 {
 
-Result<NormalizedCounts>
-normalizeCounts(const std::vector<u64> &freqs, unsigned table_log)
+Status
+normalizeCounts(std::span<const u64> freqs, unsigned table_log,
+                NormalizedCounts &norm)
 {
     if (table_log < kMinTableLog || table_log > kMaxTableLog)
         return Status::invalid("fse table log out of range");
@@ -34,7 +35,6 @@ normalizeCounts(const std::vector<u64> &freqs, unsigned table_log)
     if (total >= (1ull << (63 - kMaxTableLog)))
         return Status::invalid("fse frequency total too large");
 
-    NormalizedCounts norm;
     norm.tableLog = table_log;
     norm.counts.assign(freqs.size(), 0);
 
@@ -74,11 +74,19 @@ normalizeCounts(const std::vector<u64> &freqs, unsigned table_log)
         if (excess > 0)
             return Status::internal("fse normalization cannot converge");
     }
+    return Status::okStatus();
+}
+
+Result<NormalizedCounts>
+normalizeCounts(const std::vector<u64> &freqs, unsigned table_log)
+{
+    NormalizedCounts norm;
+    CDPU_RETURN_IF_ERROR(normalizeCounts(freqs, table_log, norm));
     return norm;
 }
 
 unsigned
-suggestTableLog(const std::vector<u64> &freqs, u64 total, unsigned max_log)
+suggestTableLog(std::span<const u64> freqs, u64 total, unsigned max_log)
 {
     std::size_t used = 0;
     for (u64 f : freqs)
@@ -101,12 +109,11 @@ serializeCounts(const NormalizedCounts &norm, Bytes &out)
         putVarint(out, c);
 }
 
-Result<NormalizedCounts>
-deserializeCounts(ByteSpan data, std::size_t &pos)
+Status
+deserializeCounts(ByteSpan data, std::size_t &pos, NormalizedCounts &norm)
 {
     if (pos >= data.size())
         return Status::corrupt("fse counts truncated");
-    NormalizedCounts norm;
     norm.tableLog = data[pos++];
     if (norm.tableLog < kMinTableLog || norm.tableLog > kMaxTableLog)
         return Status::corrupt("fse table log out of range");
@@ -130,6 +137,14 @@ deserializeCounts(ByteSpan data, std::size_t &pos)
     }
     if (sum != (1ull << norm.tableLog))
         return Status::corrupt("fse counts do not sum to table size");
+    return Status::okStatus();
+}
+
+Result<NormalizedCounts>
+deserializeCounts(ByteSpan data, std::size_t &pos)
+{
+    NormalizedCounts norm;
+    CDPU_RETURN_IF_ERROR(deserializeCounts(data, pos, norm));
     return norm;
 }
 

@@ -12,6 +12,7 @@
 #ifndef CDPU_FSE_NORMALIZE_H_
 #define CDPU_FSE_NORMALIZE_H_
 
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -34,12 +35,17 @@ struct NormalizedCounts
 };
 
 /**
- * Scales raw frequencies to sum to 1 << table_log.
+ * Scales raw frequencies to sum to 1 << table_log, into @p norm
+ * (its storage reused).
  *
  * Every nonzero raw count maps to >= 1; the residual is absorbed by the
  * most frequent symbol. Fails if no symbol occurs or the alphabet has
  * more used symbols than table slots.
  */
+Status normalizeCounts(std::span<const u64> freqs, unsigned table_log,
+                       NormalizedCounts &norm);
+
+/** normalizeCounts() into counts of their own. */
 Result<NormalizedCounts> normalizeCounts(const std::vector<u64> &freqs,
                                          unsigned table_log);
 
@@ -48,13 +54,18 @@ Result<NormalizedCounts> normalizeCounts(const std::vector<u64> &freqs,
  * alphabet, small enough not to dominate short streams, clamped to
  * [kMinTableLog, max_log].
  */
-unsigned suggestTableLog(const std::vector<u64> &freqs, u64 total,
+unsigned suggestTableLog(std::span<const u64> freqs, u64 total,
                          unsigned max_log = 9);
 
 /** Appends a serialized representation (tableLog, alphabet, counts). */
 void serializeCounts(const NormalizedCounts &norm, Bytes &out);
 
-/** Parses serializeCounts() output and validates the invariants. */
+/** Parses serializeCounts() output at @p pos into @p norm (its storage
+ *  reused) and validates the invariants. */
+Status deserializeCounts(ByteSpan data, std::size_t &pos,
+                         NormalizedCounts &norm);
+
+/** deserializeCounts() into counts of their own. */
 Result<NormalizedCounts> deserializeCounts(ByteSpan data,
                                            std::size_t &pos);
 

@@ -1,5 +1,8 @@
 #include "fse/table.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/histogram.h"
 
 namespace cdpu::fse
@@ -61,8 +64,8 @@ buildDecodeTable(const NormalizedCounts &norm)
     return table;
 }
 
-Result<EncodeTable>
-buildEncodeTable(const NormalizedCounts &norm)
+Status
+buildEncodeTable(const NormalizedCounts &norm, EncodeTable &table)
 {
     const std::size_t size = std::size_t{1} << norm.tableLog;
     u64 sum = 0;
@@ -70,8 +73,10 @@ buildEncodeTable(const NormalizedCounts &norm)
         sum += c;
     if (sum != size)
         return Status::invalid("fse counts do not sum to table size");
+    // Spread entries are bytes, and the spread sits on the stack.
+    if (norm.tableLog > kMaxTableLog || norm.counts.size() > 256)
+        return Status::invalid("fse table too large");
 
-    EncodeTable table;
     table.tableLog = norm.tableLog;
     table.counts.assign(norm.counts.begin(), norm.counts.end());
     table.cumul.assign(norm.counts.size() + 1, 0);
@@ -80,14 +85,24 @@ buildEncodeTable(const NormalizedCounts &norm)
 
     // The i-th occurrence (in spread order) of symbol s corresponds to
     // sub-state x = count[s] + i and to global state (size + position).
-    std::vector<u8> spread = spreadSymbols(norm);
-    std::vector<u32> fill(norm.counts.size(), 0);
-    table.stateMap.assign(size, 0);
-    for (std::size_t state = 0; state < size; ++state) {
-        u8 sym = spread[state];
-        table.stateMap[table.cumul[sym] + fill[sym]++] =
+    // The spread and each symbol's fill start at cumul[s] live on the
+    // stack: every one of the first `size` spread slots is written.
+    std::array<u8, std::size_t{1} << kMaxTableLog> spread;
+    spreadSymbols(norm, spread.data());
+    std::array<u32, 256> next;
+    std::copy(table.cumul.begin(), table.cumul.end() - 1, next.begin());
+    table.stateMap.resize(size);
+    for (std::size_t state = 0; state < size; ++state)
+        table.stateMap[next[spread[state]]++] =
             static_cast<u16>(size + state);
-    }
+    return Status::okStatus();
+}
+
+Result<EncodeTable>
+buildEncodeTable(const NormalizedCounts &norm)
+{
+    EncodeTable table;
+    CDPU_RETURN_IF_ERROR(buildEncodeTable(norm, table));
     return table;
 }
 

@@ -65,7 +65,11 @@ void spreadSymbols(const NormalizedCounts &norm, u8 *spread);
 /** Builds the decoder table from normalized counts. */
 Result<DecodeTable> buildDecodeTable(const NormalizedCounts &norm);
 
-/** Builds the encoder table from normalized counts. */
+/** Builds the encoder table from normalized counts into @p table,
+ *  reusing its storage. */
+Status buildEncodeTable(const NormalizedCounts &norm, EncodeTable &table);
+
+/** buildEncodeTable() into a table of its own. */
 Result<EncodeTable> buildEncodeTable(const NormalizedCounts &norm);
 
 } // namespace cdpu::fse

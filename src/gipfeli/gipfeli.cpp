@@ -42,14 +42,16 @@ struct LiteralCode
 };
 
 /** Builds the code from literal-byte frequencies (sampled, like
- *  Gipfeli's single-pass statistics). */
+ *  Gipfeli's single-pass statistics): bytes by falling frequency,
+ *  ties in byte order. */
 LiteralCode
-buildLiteralCode(const std::vector<u64> &freqs)
+buildLiteralCode(const std::array<u64, 256> &freqs)
 {
     std::array<u16, 256> order{};
     std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](u16 a, u16 b) { return freqs[a] > freqs[b]; });
+    std::sort(order.begin(), order.end(), [&](u16 a, u16 b) {
+        return freqs[a] != freqs[b] ? freqs[a] > freqs[b] : a < b;
+    });
     LiteralCode code;
     for (std::size_t i = 0; i < 32; ++i)
         code.classA[i] = static_cast<u8>(order[i]);
@@ -170,7 +172,8 @@ decodeElements(ByteSpan stream, const LiteralTable &literals,
 } // namespace
 
 void
-compressInto(ByteSpan input, Bytes &out)
+compressInto(ByteSpan input, Bytes &out, lz77::ParseScratch &parse_scratch,
+             Scratch &scratch)
 {
     out.assign(kMagic.begin(), kMagic.end());
     putVarint(out, input.size());
@@ -181,10 +184,12 @@ compressInto(ByteSpan input, Bytes &out)
     config.minMatchLength = kMinMatch;
     config.maxMatchLength = kMaxMatch;
     config.hashTable.log2Entries = 14;
-    const lz77::Parse parse = lz77::fastParse(input, config);
+    const lz77::Parse &parse = parse_scratch.parse;
+    lz77::fastParse(input, config, parse_scratch.table,
+                    parse_scratch.parse);
 
     // Literal statistics over the literal bytes only.
-    std::vector<u64> freqs(256, 0);
+    std::array<u64, 256> freqs{};
     std::size_t cursor = 0;
     for (const auto &seq : parse.sequences) {
         for (u32 i = 0; i < seq.literalLength; ++i)
@@ -197,7 +202,8 @@ compressInto(ByteSpan input, Bytes &out)
     out.insert(out.end(), code.classA.begin(), code.classA.end());
     out.insert(out.end(), code.classB.begin(), code.classB.end());
 
-    BitWriter writer;
+    BitWriter &writer = scratch.stream;
+    writer.clear();
     auto emit_literal_run = [&](std::size_t start, std::size_t count) {
         while (count > 0) {
             std::size_t take = std::min(count, kMaxLiteralRun);
@@ -222,9 +228,17 @@ compressInto(ByteSpan input, Bytes &out)
     emit_literal_run(parse.literalTailStart,
                      input.size() - parse.literalTailStart);
 
-    Bytes stream = writer.finish();
+    const ByteSpan stream = writer.terminate();
     putVarint(out, stream.size());
     out.insert(out.end(), stream.begin(), stream.end());
+}
+
+void
+compressInto(ByteSpan input, Bytes &out)
+{
+    lz77::ParseScratch parse;
+    Scratch scratch;
+    compressInto(input, out, parse, scratch);
 }
 
 Bytes

@@ -23,8 +23,10 @@
 #ifndef CDPU_GIPFELI_GIPFELI_H_
 #define CDPU_GIPFELI_GIPFELI_H_
 
+#include "common/bitio.h"
 #include "common/error.h"
 #include "common/types.h"
+#include "lz77/fast_parse.h"
 
 namespace cdpu::gipfeli
 {
@@ -41,10 +43,22 @@ Bytes compress(ByteSpan input);
 /** Decompresses; never crashes on corrupt input. */
 Result<Bytes> decompress(ByteSpan data);
 
+/** What a gipfeli compress rebuilds beside its parse, kept across
+ *  calls: the bitstream, written before its length is known. */
+struct Scratch
+{
+    BitWriter stream;
+};
+
 /**
  * Context-reuse variant of compress(): emits into @p out, clearing it
- * first but keeping its capacity (see snappy::compressInto).
+ * first but keeping its capacity (see snappy::compressInto), and
+ * builds its parse and bitstream in @p parse and @p scratch.
  */
+void compressInto(ByteSpan input, Bytes &out, lz77::ParseScratch &parse,
+                  Scratch &scratch);
+
+/** compressInto() on a parse and a scratch of its own. */
 void compressInto(ByteSpan input, Bytes &out);
 
 /**

@@ -39,6 +39,7 @@ buildCorpus(const FuzzConfig &config)
             0xc0ffee5eedull);
 
     BaseFrames base;
+    codec::Scratch scratch;
     const auto classes = corpus::allDataClasses();
     const std::size_t max = std::max<std::size_t>(config.maxPayloadBytes,
                                                   64);
@@ -53,7 +54,7 @@ buildCorpus(const FuzzConfig &config)
         // Clamped params over synthetic payloads: compression cannot
         // legitimately fail here, and a failure surfaces later as a
         // mutation of an empty frame (harmless).
-        (void)vtable.compressInto(payload, params, frame);
+        (void)vtable.compressInto(payload, params, frame, scratch);
         base.bufferFrames.push_back(std::move(frame));
 
         Bytes stream;
@@ -218,7 +219,8 @@ class Battery
             base_.bufferFrames[donor_index]);
 
         Bytes whole;
-        Status whole_status = vtable_.decompressInto(mutated, whole);
+        Status whole_status =
+            vtable_.decompressInto(mutated, whole, scratch_);
         recordFlight(i, whole_status, mutated.size(), whole.size());
         checkDecodeStatus(spec, whole_status, "whole-buffer");
         checkOutputSize(spec, "whole-buffer", whole.size());
@@ -392,14 +394,29 @@ class Battery
                                                    caps.maxWindowLog))
                 : caps.defaultWindowLog;
         const codec::CodecParams params = caps.clamp(level, window);
+        const bool check_fresh = pick.chance(0.125);
 
         Bytes compressed;
-        Status cs = vtable_.compressInto(payload, params, compressed);
+        Status cs =
+            vtable_.compressInto(payload, params, compressed, scratch_);
         recordFlight(i, cs, payload.size(), compressed.size());
         if (!cs.ok()) {
             fail(spec, "compress failed on legal input: " +
                            cs.toString());
             return;
+        }
+        if (check_fresh) {
+            // The battery's scratch has served every earlier iteration,
+            // clean and corrupt; a fresh one must give the same bytes.
+            codec::Scratch fresh;
+            Bytes fresh_out;
+            Status fs =
+                vtable_.compressInto(payload, params, fresh_out, fresh);
+            if (!fs.ok() || fresh_out != compressed) {
+                fail(spec, "compress output on a reused scratch differs "
+                           "from a fresh scratch's: " +
+                               fs.toString());
+            }
         }
         const u64 bound = static_cast<u64>(payload.size()) *
                               caps.maxExpansionNum / caps.maxExpansionDen +
@@ -414,7 +431,7 @@ class Battery
         }
 
         Bytes round;
-        Status ds = vtable_.decompressInto(compressed, round);
+        Status ds = vtable_.decompressInto(compressed, round, scratch_);
         if (!ds.ok() || round != payload) {
             fail(spec, "compress round-trip failed: " + ds.toString());
         }
@@ -461,6 +478,9 @@ class Battery
     FuzzConfig config_;
     const codec::CodecVTable &vtable_;
     BaseFrames base_;
+    /** One scratch for every whole-buffer call of the battery, as a
+     *  serving context keeps one. */
+    codec::Scratch scratch_;
     FuzzReport report_;
     obs::FlightRing *ring_ = nullptr;
 };

@@ -11,6 +11,11 @@
  * The compress direction runs the same battery shape on arbitrary
  * payloads: compression must always succeed, respect the CodecCaps
  * expansion bound, stay chunk-granularity invariant, and round-trip.
+ * Every whole-buffer call of a battery runs on one codec::Scratch, as
+ * a serving context's calls do, so corrupt frames and every level and
+ * window pass through the same tables and buffers; on 1 in 8 compress
+ * iterations the payload is also compressed on a fresh scratch, and
+ * any byte difference is a failure.
  *
  * Every iteration is a pure function of (codec, class, seedBase + i);
  * a failure report carries the triple, so any finding replays with a

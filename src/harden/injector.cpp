@@ -310,8 +310,10 @@ bool
 tamperStageHeader(ByteSpan frame, const codec::CodecVTable &terminal,
                   Rng &rng, Bytes &out)
 {
+    codec::Scratch scratch;
     Bytes staged;
-    if (!terminal.decompressInto(frame, staged).ok() || staged.empty())
+    if (!terminal.decompressInto(frame, staged, scratch).ok() ||
+        staged.empty())
         return false;
     const std::size_t byte =
         rng.below(std::min<std::size_t>(staged.size(), 4));
@@ -323,7 +325,7 @@ tamperStageHeader(ByteSpan frame, const codec::CodecVTable &terminal,
     const codec::CodecParams params = terminal.caps.clamp(
         terminal.caps.defaultLevel, terminal.caps.defaultWindowLog);
     Bytes rewrapped;
-    if (!terminal.compressInto(staged, params, rewrapped).ok())
+    if (!terminal.compressInto(staged, params, rewrapped, scratch).ok())
         return false;
     out = std::move(rewrapped);
     return true;

@@ -16,15 +16,14 @@ packLengths(const std::vector<u8> &lengths, std::size_t count, Bytes &out)
     }
 }
 
-std::vector<u8>
-unpackLengths(ByteSpan packed, std::size_t count)
+void
+unpackLengths(ByteSpan packed, std::size_t count, std::vector<u8> &lengths)
 {
-    std::vector<u8> lengths(count, 0);
+    lengths.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
         u8 byte = packed[i / 2];
         lengths[i] = (i % 2) ? (byte >> 4) : (byte & 0x0f);
     }
-    return lengths;
 }
 
 namespace
@@ -55,57 +54,51 @@ reverseBits(u16 v, unsigned nbits)
 namespace
 {
 
+/** Symbol bits of a packed (weight << kSymbolBits) | symbol key. */
+constexpr unsigned kSymbolBits = 9;
+static_assert(kMaxSymbols == std::size_t{1} << kSymbolBits);
+
 /**
- * Computes raw (unlimited) Huffman code lengths with the two-queue
- * merge. Leaves are numbered in symbol order and queue sorted by
- * (weight, node number); internal nodes are numbered after every leaf
- * and queue in creation order, where merged weights never decrease.
- * The smaller (weight, node number) of the two heads is therefore
- * exactly what a min-heap over every live node would pop, so the tree,
- * and every length, is the heap construction's.
+ * Computes raw (unlimited) Huffman code lengths of @p freqs into
+ * @p lengths with the two-queue merge. Leaves are numbered in symbol
+ * order and queue sorted by (weight, node number); internal nodes are
+ * numbered after every leaf and queue in creation order, where merged
+ * weights never decrease. The smaller (weight, node number) of the two
+ * heads is therefore exactly what a min-heap over every live node
+ * would pop, so the tree, and every length, is the heap construction's.
+ * @pre 1 to kMaxSymbols symbols occur, each fewer than 2^55 times.
  */
-std::vector<u8>
-rawLengths(const std::vector<u64> &freqs)
+void
+rawLengths(std::span<const u64> freqs, std::vector<u8> &lengths)
 {
-    struct Leaf
-    {
-        u64 weight;
-        u32 symbol;
-    };
-    std::vector<Leaf> leaves;
-    leaves.reserve(freqs.size());
+    // Leaf numbers follow symbol order, so sorting the packed
+    // (weight, symbol) keys with one integer compare is (weight, node
+    // number) order.
+    std::array<u64, kMaxSymbols> leaves;
+    std::size_t count = 0;
     for (std::size_t sym = 0; sym < freqs.size(); ++sym)
         if (freqs[sym] != 0)
-            leaves.push_back({freqs[sym], static_cast<u32>(sym)});
-    const std::size_t count = leaves.size();
+            leaves[count++] = (freqs[sym] << kSymbolBits) | sym;
 
-    std::vector<u8> lengths(freqs.size(), 0);
+    lengths.assign(freqs.size(), 0);
+    const auto symbol_of = [&](std::size_t leaf) {
+        return leaves[leaf] & (kMaxSymbols - 1);
+    };
     if (count == 1) {
         // Degenerate single-symbol alphabet: one 1-bit code.
-        lengths[leaves[0].symbol] = 1;
-        return lengths;
+        lengths[symbol_of(0)] = 1;
+        return;
     }
-
-    // Leaf numbers follow symbol order, so (weight, symbol) order is
-    // (weight, node number) order.
-    std::sort(leaves.begin(), leaves.end(),
-              [](const Leaf &a, const Leaf &b) {
-                  return a.weight != b.weight ? a.weight < b.weight
-                                              : a.symbol < b.symbol;
-              });
+    std::sort(leaves.begin(), leaves.begin() + count);
 
     // Slots [0, count) are the sorted leaves, [count, 2 * count - 1)
     // the internal nodes in creation order; the root comes last.
-    struct Node
-    {
-        u64 weight;
-        u32 parent;
-        u8 depth;
-    };
+    std::array<u64, 2 * kMaxSymbols> weight;
+    std::array<u32, 2 * kMaxSymbols> parent;
+    std::array<u8, 2 * kMaxSymbols> depth;
     const std::size_t nodes = 2 * count - 1;
-    std::vector<Node> tree(nodes, Node{0, 0, 0});
     for (std::size_t i = 0; i < count; ++i)
-        tree[i].weight = leaves[i].weight;
+        weight[i] = leaves[i] >> kSymbolBits;
     std::size_t next_leaf = 0;
     std::size_t next_internal = count;
     for (std::size_t created = count; created < nodes; ++created) {
@@ -114,24 +107,24 @@ rawLengths(const std::vector<u64> &freqs)
         const auto pop = [&]() -> std::size_t {
             if (next_leaf < count &&
                 (next_internal == created ||
-                 tree[next_leaf].weight <= tree[next_internal].weight))
+                 weight[next_leaf] <= weight[next_internal]))
                 return next_leaf++;
             return next_internal++;
         };
         const std::size_t a = pop();
         const std::size_t b = pop();
-        tree[created].weight = tree[a].weight + tree[b].weight;
-        tree[a].parent = static_cast<u32>(created);
-        tree[b].parent = static_cast<u32>(created);
+        weight[created] = weight[a] + weight[b];
+        parent[a] = static_cast<u32>(created);
+        parent[b] = static_cast<u32>(created);
     }
 
     // Depth of each leaf = code length. Parents sit above their
     // children, so walk down from the root.
+    depth[nodes - 1] = 0;
     for (std::size_t i = nodes - 1; i-- > 0;)
-        tree[i].depth = static_cast<u8>(tree[tree[i].parent].depth + 1);
+        depth[i] = static_cast<u8>(depth[parent[i]] + 1);
     for (std::size_t i = 0; i < count; ++i)
-        lengths[leaves[i].symbol] = tree[i].depth;
-    return lengths;
+        lengths[symbol_of(i)] = depth[i];
 }
 
 } // namespace
@@ -191,29 +184,42 @@ limitLengths(std::vector<u8> &lengths, unsigned max_bits)
     }
 }
 
-Result<CodeTable>
-buildCodeTable(const std::vector<u64> &freqs, unsigned max_bits)
+Status
+buildCodeTable(std::span<const u64> freqs, unsigned max_bits,
+               CodeTable &table)
 {
     if (max_bits < 1 || max_bits > 15)
         return Status::invalid("huffman max_bits out of range");
+    if (freqs.size() > kMaxSymbols)
+        return Status::invalid("huffman alphabet exceeds kMaxSymbols");
     std::size_t used = 0;
-    for (u64 f : freqs)
+    for (u64 f : freqs) {
+        if (f >> (64 - kSymbolBits))
+            return Status::invalid("huffman weight too large");
         used += f != 0;
+    }
     if (used == 0)
         return Status::invalid("huffman alphabet is empty");
     if (used > (1ull << max_bits))
         return Status::invalid("alphabet too large for max_bits");
 
-    std::vector<u8> lengths = rawLengths(freqs);
-    limitLengths(lengths, max_bits);
-    return codesFromLengths(lengths);
+    rawLengths(freqs, table.lengths);
+    limitLengths(table.lengths, max_bits);
+    return codesFromLengths(table);
 }
 
 Result<CodeTable>
-codesFromLengths(const std::vector<u8> &lengths)
+buildCodeTable(const std::vector<u64> &freqs, unsigned max_bits)
 {
     CodeTable table;
-    table.lengths = lengths;
+    CDPU_RETURN_IF_ERROR(buildCodeTable(freqs, max_bits, table));
+    return table;
+}
+
+Status
+codesFromLengths(CodeTable &table)
+{
+    const std::vector<u8> &lengths = table.lengths;
     table.codes.assign(lengths.size(), 0);
 
     unsigned max_bits = 0;
@@ -252,6 +258,15 @@ codesFromLengths(const std::vector<u8> &lengths)
         u16 canonical = static_cast<u16>(next_code[lengths[sym]]++);
         table.codes[sym] = reverseBits(canonical, lengths[sym]);
     }
+    return Status::okStatus();
+}
+
+Result<CodeTable>
+codesFromLengths(const std::vector<u8> &lengths)
+{
+    CodeTable table;
+    table.lengths = lengths;
+    CDPU_RETURN_IF_ERROR(codesFromLengths(table));
     return table;
 }
 

@@ -13,6 +13,7 @@
 #ifndef CDPU_HUFFMAN_CODE_BUILDER_H_
 #define CDPU_HUFFMAN_CODE_BUILDER_H_
 
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -23,6 +24,10 @@ namespace cdpu::huffman
 
 /** Default bit-length cap; matches zstd's literal-table limit. */
 inline constexpr unsigned kDefaultMaxBits = 11;
+
+/** Largest alphabet a code can have: a symbol packs into the low nine
+ *  bits of the builder's sort key. */
+inline constexpr std::size_t kMaxSymbols = 512;
 
 /** A canonical Huffman code: one (length, code) pair per symbol. */
 struct CodeTable
@@ -38,13 +43,19 @@ struct CodeTable
 };
 
 /**
- * Builds a length-limited canonical code from frequencies.
+ * Builds a length-limited canonical code from frequencies into
+ * @p table, reusing its storage.
  *
- * @param freqs     Occurrence count per symbol (size = alphabet size).
+ * @param freqs     Occurrence count per symbol (size = alphabet size,
+ *                  at most kMaxSymbols; each count below 2^55).
  * @param max_bits  Length cap, [1, 15].
- * @return The code table; fails if no symbol has a nonzero count or the
- *         alphabet cannot fit in max_bits.
+ * @return Fails if no symbol has a nonzero count or the alphabet
+ *         cannot fit in max_bits.
  */
+Status buildCodeTable(std::span<const u64> freqs, unsigned max_bits,
+                      CodeTable &table);
+
+/** buildCodeTable() into a table of its own. */
 Result<CodeTable> buildCodeTable(const std::vector<u64> &freqs,
                                  unsigned max_bits = kDefaultMaxBits);
 
@@ -56,10 +67,14 @@ Result<CodeTable> buildCodeTable(const std::vector<u64> &freqs,
 void limitLengths(std::vector<u8> &lengths, unsigned max_bits);
 
 /**
- * Reconstructs canonical codes from lengths alone (decoder side / table
- * transmission). Fails if the lengths violate the Kraft inequality or
- * describe an incomplete code.
+ * Reconstructs @p table's canonical codes and maxBits from its lengths
+ * alone (decoder side / table transmission), reusing its storage.
+ * Fails if the lengths violate the Kraft inequality or describe an
+ * incomplete code.
  */
+Status codesFromLengths(CodeTable &table);
+
+/** codesFromLengths() on a table of its own holding @p lengths. */
 Result<CodeTable> codesFromLengths(const std::vector<u8> &lengths);
 
 /**
@@ -72,8 +87,9 @@ void packLengths(const std::vector<u8> &lengths, std::size_t count,
                  Bytes &out);
 
 /** Inverse of packLengths: @p count lengths from the first
- *  (count + 1) / 2 bytes of @p packed. */
-std::vector<u8> unpackLengths(ByteSpan packed, std::size_t count);
+ *  (count + 1) / 2 bytes of @p packed, into @p lengths. */
+void unpackLengths(ByteSpan packed, std::size_t count,
+                   std::vector<u8> &lengths);
 
 /** Reverses the low @p nbits (<= 16) bits of @p v; higher bits of @p v
  *  are ignored. */

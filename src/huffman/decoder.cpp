@@ -10,11 +10,18 @@ namespace cdpu::huffman
 Result<Decoder>
 Decoder::build(const CodeTable &table)
 {
+    Decoder decoder;
+    CDPU_RETURN_IF_ERROR(decoder.rebuild(table));
+    return decoder;
+}
+
+Status
+Decoder::rebuild(const CodeTable &table)
+{
     if (table.maxBits == 0 || table.maxBits > 15)
         return Status::invalid("bad huffman table");
-    Decoder decoder;
-    decoder.maxBits_ = table.maxBits;
-    decoder.table_.assign(std::size_t{1} << table.maxBits, Entry{});
+    maxBits_ = table.maxBits;
+    table_.assign(std::size_t{1} << table.maxBits, Entry{});
 
     for (std::size_t sym = 0; sym < table.numSymbols(); ++sym) {
         u8 len = table.lengths[sym];
@@ -23,9 +30,9 @@ Decoder::build(const CodeTable &table)
         // The stored code is already bit-reversed (LSB-first); every
         // index whose low `len` bits equal it decodes to this symbol.
         u32 stride = 1u << len;
-        for (u32 idx = table.codes[sym];
-             idx < decoder.table_.size(); idx += stride) {
-            decoder.table_[idx] = {static_cast<u16>(sym), len};
+        for (u32 idx = table.codes[sym]; idx < table_.size();
+             idx += stride) {
+            table_[idx] = {static_cast<u16>(sym), len};
         }
     }
 
@@ -34,26 +41,25 @@ Decoder::build(const CodeTable &table)
     // the second entry is trustworthy exactly when its code lies
     // entirely inside the real (non-extended) bits: len0 + len1 <=
     // maxBits. Prefix-free codes make that low-bits lookup unambiguous.
-    decoder.pairs_.assign(decoder.table_.size(), PairEntry{});
-    for (u32 prefix = 0; prefix < decoder.table_.size(); ++prefix) {
-        const Entry &first = decoder.table_[prefix];
+    pairs_.assign(table_.size(), PairEntry{});
+    for (u32 prefix = 0; prefix < table_.size(); ++prefix) {
+        const Entry &first = table_[prefix];
         if (first.length == 0)
             continue;
         PairEntry pair;
         pair.sym0 = static_cast<u8>(first.symbol);
         pair.bits = first.length;
         pair.count = 1;
-        const Entry &second = decoder.table_[prefix >> first.length];
+        const Entry &second = table_[prefix >> first.length];
         if (second.length != 0 &&
             first.length + second.length <= table.maxBits) {
             pair.sym1 = static_cast<u8>(second.symbol);
-            pair.bits =
-                static_cast<u8>(first.length + second.length);
+            pair.bits = static_cast<u8>(first.length + second.length);
             pair.count = 2;
         }
-        decoder.pairs_[prefix] = pair;
+        pairs_[prefix] = pair;
     }
-    return decoder;
+    return Status::okStatus();
 }
 
 Status

@@ -17,12 +17,16 @@
 namespace cdpu::huffman
 {
 
-/** Immutable decode table built from a CodeTable. */
+/** Decode table built from a CodeTable; a decoder kept across calls
+ *  rebuilds it in place. */
 class Decoder
 {
   public:
     /** Builds the 2^maxBits lookup table. */
     static Result<Decoder> build(const CodeTable &table);
+
+    /** build() into this decoder, reusing its storage. */
+    Status rebuild(const CodeTable &table);
 
     /**
      * Decodes exactly @p count symbols from @p reader.

@@ -13,12 +13,12 @@ namespace cdpu::huffman
 {
 
 /**
- * Encodes @p symbols with @p table into @p writer.
- *
- * Fails if a symbol has no code (zero length) — the caller must have
- * built the table over a superset of the stream's alphabet.
+ * Encodes @p symbols with @p table into @p writer, packing several
+ * codes into each BitWriter::put().
+ * @pre Every symbol of the stream has a code (nonzero length), as when
+ *      the table was built over the stream's own frequencies.
  */
-Status encode(const CodeTable &table, ByteSpan symbols, BitWriter &writer);
+void encode(const CodeTable &table, ByteSpan symbols, BitWriter &writer);
 
 /**
  * Exact bit cost (no terminator) of encoding, under @p table, a stream
@@ -26,7 +26,7 @@ Status encode(const CodeTable &table, ByteSpan symbols, BitWriter &writer);
  * Fails if a symbol that occurs has no code.
  */
 Result<u64> encodedBitCost(const CodeTable &table,
-                           const std::vector<u64> &freqs);
+                           std::span<const u64> freqs);
 
 /** Builds a frequency vector over an @p alphabet_size alphabet. */
 std::vector<u64> countFrequencies(ByteSpan symbols,

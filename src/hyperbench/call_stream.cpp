@@ -29,6 +29,7 @@ CallStream::append(codec::CodecId codec, Direction direction,
 Status
 appendSuite(CallStream &stream, const Suite &suite)
 {
+    codec::Scratch scratch;
     for (const BenchmarkFile &file : suite.files) {
         const codec::CodecVTable &vtable = codec::registry(file.codec);
         const codec::CodecParams params =
@@ -42,7 +43,7 @@ appendSuite(CallStream &stream, const Suite &suite)
         // pre-compress the file body with its sampled parameters.
         Bytes frame;
         CDPU_RETURN_IF_ERROR(
-            vtable.compressInto(file.data, params, frame));
+            vtable.compressInto(file.data, params, frame, scratch));
         stream.append(file.codec, Direction::decompress,
                       std::move(frame), params.level, params.windowLog);
     }

@@ -14,12 +14,12 @@ namespace
 double
 measureRatio(codec::CodecId codec, ByteSpan chunk, int level)
 {
-    const codec::CodecVTable &vtable = codec::registry(codec);
+    const codec::CodecCaps &caps = codec::registry(codec).caps;
     const codec::CodecParams params =
-        vtable.caps.clamp(level, vtable.caps.defaultWindowLog);
+        caps.clamp(level, caps.defaultWindowLog);
     Bytes out;
     // Synthetic chunks with clamped parameters cannot fail.
-    Status status = vtable.compressInto(chunk, params, out);
+    Status status = codec::compressInto(codec, chunk, params, out);
     if (!status.ok() || out.empty())
         return 1.0;
     return static_cast<double>(chunk.size()) /

@@ -20,11 +20,11 @@ constexpr std::size_t kEvalSegmentBytes = 64 * kKiB;
 std::size_t
 compressedSize(codec::CodecId codec, ByteSpan segment)
 {
-    const codec::CodecVTable &vtable = codec::registry(codec);
-    const codec::CodecParams params = vtable.caps.clamp(
-        vtable.caps.defaultLevel, vtable.caps.defaultWindowLog);
+    const codec::CodecCaps &caps = codec::registry(codec).caps;
+    const codec::CodecParams params =
+        caps.clamp(caps.defaultLevel, caps.defaultWindowLog);
     Bytes out;
-    if (!vtable.compressInto(segment, params, out).ok())
+    if (!codec::compressInto(codec, segment, params, out).ok())
         return segment.size();
     return out.size();
 }

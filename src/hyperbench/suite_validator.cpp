@@ -26,7 +26,8 @@ validateSuite(const Suite &suite, const fleet::FleetModel &fleet,
 
     std::size_t total_raw = 0;
     std::size_t total_compressed = 0;
-    Bytes scratch;
+    Bytes frame;
+    codec::Scratch scratch;
     for (const auto &file : suite.files) {
         report.suiteCallSizes.add(
             ceilLog2(file.data.size()),
@@ -35,8 +36,8 @@ validateSuite(const Suite &suite, const fleet::FleetModel &fleet,
         const codec::CodecVTable &vtable = codec::registry(file.codec);
         const codec::CodecParams params =
             vtable.caps.clamp(file.level, file.windowLog);
-        if (vtable.compressInto(file.data, params, scratch).ok())
-            total_compressed += scratch.size();
+        if (vtable.compressInto(file.data, params, frame, scratch).ok())
+            total_compressed += frame.size();
     }
     report.achievedRatio =
         total_compressed == 0

@@ -11,10 +11,6 @@ namespace cdpu::lz77
 namespace
 {
 
-/** An unused slot. As a position it is never below the cursor, so the
- *  candidate test rejects it without a test of its own. */
-constexpr u32 kEmpty = 0xffffffffu;
-
 /** MatchHashTable::hashAt for one hash function; @p shift drops the
  *  product's low bits (32 or 64 minus log2Entries). */
 template <HashFunction kHash>
@@ -33,22 +29,25 @@ hashAt(const u8 *p, unsigned shift)
  * MatchFinder::parse, step for step: the same probes, inserts and FIFO
  * evictions in the same order, so the same Parse. Only the bookkeeping
  * differs — sets are kept newest first instead of behind a victim
- * pointer, and a candidate that cannot beat the best match so far is
- * dropped before its word compare.
+ * pointer, slots hold positions offset by the table's base, and a
+ * candidate that cannot beat the best match so far is dropped before
+ * its word compare.
  */
 template <HashFunction kHash, unsigned kWays>
-Parse
-parseWith(ByteSpan input, const MatchFinderConfig &config)
+void
+parseWith(ByteSpan input, const MatchFinderConfig &config,
+          ParseTable &table, Parse &parse)
 {
     constexpr std::size_t kHashBytes =
         kHash == HashFunction::fibonacci64 ? 8 : 4;
 
-    Parse parse;
+    parse.sequences.clear();
+    parse.literalTailStart = 0;
     parse.inputSize = input.size();
+    if (input.size() < kHashBytes + 1)
+        return;
     parse.sequences.reserve(
         std::min<std::size_t>(input.size() / 32 + 4, 1u << 20));
-    if (input.size() < kHashBytes + 1)
-        return parse;
 
     const u8 *const base = input.data();
     const std::size_t size = input.size();
@@ -65,8 +64,14 @@ parseWith(ByteSpan input, const MatchFinderConfig &config)
         config.hashTable.log2Entries;
     // Each set keeps its positions newest first. Shifting the set on
     // insert evicts the oldest, as MatchHashTable's FIFO victim pointer
-    // does, and leaves no victim array to load.
-    std::vector<u32> slots(config.hashTable.entries() * kWays, kEmpty);
+    // does, and leaves no victim array to load. A slot holds
+    // slot_base + position; read relative to slot_base, a slot from an
+    // earlier parse (or a zero slot) is at least 2^31, which is never
+    // below the cursor, so the candidate test rejects it without a
+    // test of its own.
+    u32 slot_base = 0;
+    u32 *const slots = table.prepare(config.hashTable.entries() * kWays,
+                                     size, slot_base);
     u64 hashed = 0;
     u64 words = 0;
 
@@ -78,12 +83,12 @@ parseWith(ByteSpan input, const MatchFinderConfig &config)
 
     auto set_of = [&](std::size_t pos) {
         ++hashed;
-        return slots.data() +
+        return slots +
                std::size_t{hashAt<kHash>(base + pos, shift)} * kWays;
     };
-    auto record = [](u32 *set, std::size_t pos) {
+    auto record = [&](u32 *set, std::size_t pos) {
         std::memmove(set + 1, set, (kWays - 1) * sizeof(u32));
-        set[0] = static_cast<u32>(pos);
+        set[0] = static_cast<u32>(slot_base + pos);
     };
 
     // MatchFinder::bestMatchAt: candidates most recent first, then
@@ -95,7 +100,7 @@ parseWith(ByteSpan input, const MatchFinderConfig &config)
         const u32 head = mem::loadU32(base + pos);
         Match best;
         for (unsigned i = 0; i < kWays; ++i) {
-            const u32 cand = set[i];
+            const u32 cand = set[i] - slot_base;
             if (cand >= pos || pos - cand > window)
                 continue;
             // A winner is longer than best, so it also matches at byte
@@ -150,10 +155,10 @@ parseWith(ByteSpan input, const MatchFinderConfig &config)
     mem::KernelStats &stats = mem::kernelStats();
     stats.tierHashPositions[0] += hashed;
     stats.matchWordCompares += words;
-    return parse;
 }
 
-using ParseFn = Parse (*)(ByteSpan, const MatchFinderConfig &);
+using ParseFn = void (*)(ByteSpan, const MatchFinderConfig &,
+                         ParseTable &, Parse &);
 
 ParseFn
 specialization(const HashTableConfig &table)
@@ -184,18 +189,52 @@ specialization(const HashTableConfig &table)
 
 } // namespace
 
+u32 *
+ParseTable::prepare(std::size_t slots, std::size_t input_size, u32 &base)
+{
+    if (base_ + input_size > kResetBase) {
+        std::fill(slots_.begin(), slots_.end(), 0u);
+        base_ = 1;
+    }
+    if (slots_.size() < slots)
+        slots_.resize(slots, 0u);
+    base = static_cast<u32>(base_);
+    base_ += input_size;
+    return slots_.data();
+}
+
 bool
 hasFastParse(const MatchFinderConfig &config)
 {
     return specialization(config.hashTable) != nullptr;
 }
 
+void
+fastParse(ByteSpan input, const MatchFinderConfig &config,
+          ParseTable &table, Parse &parse)
+{
+    const ParseFn parse_with = specialization(config.hashTable);
+    if (!parse_with) {
+        parse = MatchFinder(config).parse(input);
+        return;
+    }
+    const std::size_t bytes = config.hashTable.entries() *
+                              config.hashTable.ways * sizeof(u32);
+    if (bytes <= ParseTable::kMaxRetainedBytes) {
+        parse_with(input, config, table, parse);
+        return;
+    }
+    ParseTable own;
+    parse_with(input, config, own, parse);
+}
+
 Parse
 fastParse(ByteSpan input, const MatchFinderConfig &config)
 {
-    if (ParseFn parse = specialization(config.hashTable))
-        return parse(input, config);
-    return MatchFinder(config).parse(input);
+    ParseTable table;
+    Parse parse;
+    fastParse(input, config, table, parse);
+    return parse;
 }
 
 } // namespace cdpu::lz77

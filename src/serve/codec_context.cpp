@@ -1,5 +1,7 @@
 #include "serve/codec_context.h"
 
+#include <algorithm>
+
 #include "codec/registry.h"
 #include "obs/span.h"
 
@@ -10,6 +12,8 @@ Status
 CodecContext::execute(const hcb::ReplayCall &call, ByteSpan &output)
 {
     Status status = executeInto(call);
+    if (std::max(call.payload.size(), out_.size()) > kMaxRetainedCallBytes)
+        scratch_.releaseBuffers();
     if (!status.ok()) {
         // A failed call must not poison the reused scratch: streaming
         // drains accumulate partial output before the error surfaces,
@@ -50,8 +54,8 @@ CodecContext::executeInto(const hcb::ReplayCall &call)
     // (one null-pointer test when nothing listens).
     obs::annotatePhase("ctx.oneshot", call.payload.size());
     if (compressing)
-        return vtable.compressInto(call.payload, params, out_);
-    return vtable.decompressInto(call.payload, out_);
+        return vtable.compressInto(call.payload, params, out_, scratch_);
+    return vtable.decompressInto(call.payload, out_, scratch_);
 }
 
 } // namespace cdpu::serve

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/varint.h"
-#include "lz77/fast_parse.h"
 
 namespace cdpu::snappy
 {
@@ -84,7 +83,7 @@ maxCompressedSize(std::size_t input_size)
 }
 
 void
-compressInto(ByteSpan input, Bytes &out,
+compressInto(ByteSpan input, Bytes &out, lz77::ParseScratch &parse_scratch,
              const CompressorConfig &config,
              lz77::MatchFinderStats *stats_out)
 {
@@ -110,9 +109,11 @@ compressInto(ByteSpan input, Bytes &out,
         // model reads; without them the specialized parse gives the
         // same bytes.
         lz77::MatchFinderStats stats;
-        const lz77::Parse parse =
-            stats_out ? lz77::MatchFinder(mf_config).parse(block, &stats)
-                      : lz77::fastParse(block, mf_config);
+        lz77::Parse &parse = parse_scratch.parse;
+        if (stats_out)
+            parse = lz77::MatchFinder(mf_config).parse(block, &stats);
+        else
+            lz77::fastParse(block, mf_config, parse_scratch.table, parse);
         total_stats.positionsHashed += stats.positionsHashed;
         total_stats.candidateProbes += stats.candidateProbes;
         total_stats.matchesEmitted += stats.matchesEmitted;
@@ -132,6 +133,14 @@ compressInto(ByteSpan input, Bytes &out,
 
     if (stats_out)
         *stats_out = total_stats;
+}
+
+void
+compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
+             lz77::MatchFinderStats *stats_out)
+{
+    lz77::ParseScratch parse;
+    compressInto(input, out, parse, config, stats_out);
 }
 
 Bytes

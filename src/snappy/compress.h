@@ -6,7 +6,7 @@
 #ifndef CDPU_SNAPPY_COMPRESS_H_
 #define CDPU_SNAPPY_COMPRESS_H_
 
-#include "lz77/match_finder.h"
+#include "lz77/fast_parse.h"
 #include "snappy/format.h"
 
 namespace cdpu::snappy
@@ -41,10 +41,15 @@ Bytes compress(ByteSpan input, const CompressorConfig &config = {},
 
 /**
  * Context-reuse variant of compress(): emits into @p out, clearing it
- * first but keeping its capacity, so repeated calls through one
- * scratch buffer stop allocating once the buffer has grown to the
- * workload's largest call.
+ * first but keeping its capacity, and parses each fragment in
+ * @p parse, so repeated calls through one buffer and one parse stop
+ * allocating once they have grown to the workload's largest call.
  */
+void compressInto(ByteSpan input, Bytes &out, lz77::ParseScratch &parse,
+                  const CompressorConfig &config = {},
+                  lz77::MatchFinderStats *stats = nullptr);
+
+/** compressInto() on a parse of its own. */
 void compressInto(ByteSpan input, Bytes &out,
                   const CompressorConfig &config = {},
                   lz77::MatchFinderStats *stats = nullptr);

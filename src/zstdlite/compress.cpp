@@ -3,9 +3,6 @@
 #include <algorithm>
 
 #include "common/varint.h"
-#include "lz77/fast_parse.h"
-#include "zstdlite/literals.h"
-#include "zstdlite/sequences.h"
 
 namespace cdpu::zstdlite
 {
@@ -55,30 +52,26 @@ levelParameters(int level, unsigned window_log)
 namespace
 {
 
-/** One block's worth of parse output, ready for section encoding. */
-struct PendingBlock
-{
-    std::vector<lz77::Sequence> sequences;
-    Bytes literals;
-    std::size_t regenSize = 0;
-};
-
-/** Encodes and appends one block; falls back to raw when compression
- *  does not win. Records the block in @p trace when one is given. */
+/** Encodes and appends the pending block (@p scratch's block literals
+ *  and sequences, @p regen_size bytes of @p block_input); falls back
+ *  to raw when compression does not win. Records the block in
+ *  @p trace when one is given. */
 Status
-flushBlock(PendingBlock &block, ByteSpan block_input, bool last,
-           Bytes &out, FileTrace *trace)
+flushBlock(Scratch &scratch, std::size_t regen_size, ByteSpan block_input,
+           bool last, Bytes &out, FileTrace *trace)
 {
-    // Try a compressed block into a scratch buffer.
-    Bytes scratch;
+    // Try a compressed block into the scratch body.
+    Bytes &body = scratch.body;
+    body.clear();
     LiteralsMode lit_mode = LiteralsMode::raw;
     std::size_t lit_stream = 0;
-    encodeLiteralsSection(block.literals, scratch, &lit_mode,
-                          &lit_stream);
+    encodeLiteralsSection(scratch.blockLiterals, body, scratch.literals,
+                          &lit_mode, &lit_stream);
     std::size_t seq_stream = 0;
     bool dynamic = false;
-    CDPU_RETURN_IF_ERROR(encodeSequencesSection(
-        block.sequences, scratch, &seq_stream, &dynamic));
+    CDPU_RETURN_IF_ERROR(
+        encodeSequencesSection(scratch.blockSequences, body,
+                               scratch.sequences, &seq_stream, &dynamic));
 
     const bool uniform =
         !block_input.empty() &&
@@ -88,12 +81,11 @@ flushBlock(PendingBlock &block, ByteSpan block_input, bool last,
     BlockType type = BlockType::raw;
     if (uniform && block_input.size() > 8)
         type = BlockType::rle;
-    else if (scratch.size() + varintSize(scratch.size()) <
-             block_input.size())
+    else if (body.size() + varintSize(body.size()) < block_input.size())
         type = BlockType::compressed;
     out.push_back(
         static_cast<u8>((last ? 1 : 0) | (static_cast<u8>(type) << 1)));
-    putVarint(out, block.regenSize);
+    putVarint(out, regen_size);
     switch (type) {
       case BlockType::raw:
         out.insert(out.end(), block_input.begin(), block_input.end());
@@ -102,26 +94,27 @@ flushBlock(PendingBlock &block, ByteSpan block_input, bool last,
         out.push_back(block_input[0]);
         break;
       case BlockType::compressed:
-        putVarint(out, scratch.size());
-        out.insert(out.end(), scratch.begin(), scratch.end());
+        putVarint(out, body.size());
+        out.insert(out.end(), body.begin(), body.end());
         break;
     }
 
     if (trace) {
         BlockTrace &block_trace = trace->blocks.emplace_back();
         block_trace.type = type;
-        block_trace.regenSize = block.regenSize;
+        block_trace.regenSize = regen_size;
         if (type == BlockType::compressed) {
             block_trace.literalsMode = lit_mode;
-            block_trace.litCount = block.literals.size();
+            block_trace.litCount = scratch.blockLiterals.size();
             block_trace.litStreamBytes = lit_stream;
-            block_trace.numSequences = block.sequences.size();
+            block_trace.numSequences = scratch.blockSequences.size();
             block_trace.seqStreamBytes = seq_stream;
             block_trace.dynamicTables = dynamic;
-            block_trace.sequences = std::move(block.sequences);
+            block_trace.sequences = scratch.blockSequences;
         }
     }
-    block = PendingBlock{};
+    scratch.blockLiterals.clear();
+    scratch.blockSequences.clear();
     return Status::okStatus();
 }
 
@@ -129,6 +122,7 @@ flushBlock(PendingBlock &block, ByteSpan block_input, bool last,
 
 Status
 compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
+             lz77::ParseScratch &parse_scratch, Scratch &scratch,
              FileTrace *trace, lz77::MatchFinderStats *stats_out)
 {
     if (config.level < kMinLevel || config.level > kMaxLevel)
@@ -154,22 +148,29 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
     // Only a stats request needs MatchFinder, whose probe counts the
     // CDPU models read; the specialized parse gives the same sequences,
     // so a trace is the same from either.
-    const lz77::Parse parse =
-        stats_out ? lz77::MatchFinder(mf_config).parse(input, stats_out)
-                  : lz77::fastParse(input, mf_config);
+    lz77::Parse &parse = parse_scratch.parse;
+    if (stats_out)
+        parse = lz77::MatchFinder(mf_config).parse(input, stats_out);
+    else
+        lz77::fastParse(input, mf_config, parse_scratch.table, parse);
 
     // Partition the parse into blocks of ~kBlockTarget regenerated
     // bytes. Over-long literal runs are cut by flushing the pending
     // block with the run's head as its trailing literals.
-    PendingBlock block;
+    Bytes &literals = scratch.blockLiterals;
+    std::vector<lz77::Sequence> &sequences = scratch.blockSequences;
+    literals.clear();
+    sequences.clear();
+    std::size_t regen_size = 0;  // of the pending block
     std::size_t cursor = 0;      // input position
     std::size_t block_start = 0; // first input byte of current block
 
     auto flush = [&](bool last) -> Status {
         ByteSpan block_input =
             input.subspan(block_start, cursor - block_start);
-        CDPU_RETURN_IF_ERROR(
-            flushBlock(block, block_input, last, out, trace));
+        CDPU_RETURN_IF_ERROR(flushBlock(scratch, regen_size, block_input,
+                                        last, out, trace));
+        regen_size = 0;
         block_start = cursor;
         return Status::okStatus();
     };
@@ -184,42 +185,38 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
             u32 head = literal_len - kMaxSeqLiteralRun;
             u32 take =
                 std::min<u32>(head, static_cast<u32>(kBlockTarget));
-            block.literals.insert(block.literals.end(),
-                                  input.begin() + cursor,
-                                  input.begin() + cursor + take);
-            block.regenSize += take;
+            literals.insert(literals.end(), input.begin() + cursor,
+                            input.begin() + cursor + take);
+            regen_size += take;
             cursor += take;
             literal_len -= take;
             CDPU_RETURN_IF_ERROR(flush(false));
         }
-        block.literals.insert(block.literals.end(),
-                              input.begin() + cursor,
-                              input.begin() + cursor + literal_len);
+        literals.insert(literals.end(), input.begin() + cursor,
+                        input.begin() + cursor + literal_len);
         cursor += literal_len;
         lz77::Sequence adjusted = seq;
         adjusted.literalLength = literal_len;
-        block.sequences.push_back(adjusted);
-        block.regenSize += literal_len + seq.matchLength;
+        sequences.push_back(adjusted);
+        regen_size += literal_len + seq.matchLength;
         cursor += seq.matchLength;
-        if (block.regenSize >= kBlockTarget)
+        if (regen_size >= kBlockTarget)
             CDPU_RETURN_IF_ERROR(flush(false));
     }
 
     // Trailing literals after the last sequence, in slabs that keep
     // every block under the decoder's kMaxBlockRegenSize bound.
     while (cursor < input.size()) {
-        std::size_t room = block.regenSize < kBlockTarget
-                               ? kBlockTarget - block.regenSize
-                               : 0;
+        std::size_t room =
+            regen_size < kBlockTarget ? kBlockTarget - regen_size : 0;
         if (room == 0) {
             CDPU_RETURN_IF_ERROR(flush(false));
             room = kBlockTarget;
         }
         std::size_t take = std::min(input.size() - cursor, room);
-        block.literals.insert(block.literals.end(),
-                              input.begin() + cursor,
-                              input.begin() + cursor + take);
-        block.regenSize += take;
+        literals.insert(literals.end(), input.begin() + cursor,
+                        input.begin() + cursor + take);
+        regen_size += take;
         cursor += take;
     }
     CDPU_RETURN_IF_ERROR(flush(true));
@@ -227,6 +224,16 @@ compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
     if (trace)
         trace->compressedSize = out.size();
     return Status::okStatus();
+}
+
+Status
+compressInto(ByteSpan input, Bytes &out, const CompressorConfig &config,
+             FileTrace *trace, lz77::MatchFinderStats *stats_out)
+{
+    lz77::ParseScratch parse;
+    Scratch scratch;
+    return compressInto(input, out, config, parse, scratch, trace,
+                        stats_out);
 }
 
 Result<Bytes>

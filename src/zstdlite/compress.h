@@ -7,8 +7,9 @@
 #ifndef CDPU_ZSTDLITE_COMPRESS_H_
 #define CDPU_ZSTDLITE_COMPRESS_H_
 
-#include "lz77/match_finder.h"
+#include "lz77/fast_parse.h"
 #include "zstdlite/format.h"
+#include "zstdlite/scratch.h"
 
 namespace cdpu::zstdlite
 {
@@ -49,10 +50,19 @@ Result<Bytes> compress(ByteSpan input, const CompressorConfig &config = {},
 
 /**
  * Context-reuse variant of compress(): emits into @p out, clearing it
- * first but keeping its capacity, so a serving loop replaying many
- * calls through one scratch buffer stops allocating once the buffer
- * has grown to the workload's largest frame.
+ * first but keeping its capacity, and builds its parse, blocks and
+ * tables in @p parse and @p scratch. A serving loop replaying many
+ * calls through one buffer and one scratch stops allocating once they
+ * have grown to its largest call (levels whose match table exceeds
+ * lz77::ParseTable::kMaxRetainedBytes still allocate their table).
  */
+Status compressInto(ByteSpan input, Bytes &out,
+                    const CompressorConfig &config,
+                    lz77::ParseScratch &parse, Scratch &scratch,
+                    FileTrace *trace = nullptr,
+                    lz77::MatchFinderStats *stats = nullptr);
+
+/** compressInto() on a parse and a scratch of its own. */
 Status compressInto(ByteSpan input, Bytes &out,
                     const CompressorConfig &config = {},
                     FileTrace *trace = nullptr,

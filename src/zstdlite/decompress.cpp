@@ -4,8 +4,6 @@
 
 #include "common/mem.h"
 #include "common/varint.h"
-#include "zstdlite/literals.h"
-#include "zstdlite/sequences.h"
 
 namespace cdpu::zstdlite
 {
@@ -25,13 +23,14 @@ namespace
  * carries the decoded history so far — match offsets resolve against
  * it — and @p content_size bounds cumulative output. Sets @p last
  * from the block header. Shared by the whole-buffer path and the
- * incremental StreamDecoder so the two agree byte for byte. Records
- * the block in @p trace_out when one is given.
+ * incremental StreamDecoder so the two agree byte for byte. Rebuilds
+ * the block's literals and tables in @p scratch. Records the block in
+ * @p trace_out when one is given.
  */
 Status
 decodeBlock(ByteSpan data, std::size_t &pos, u64 window_size,
-            u64 content_size, Bytes &out, BlockTrace *trace_out,
-            bool &last)
+            u64 content_size, Bytes &out, Scratch &scratch,
+            BlockTrace *trace_out, bool &last)
 {
     if (pos >= data.size())
         return Status::corrupt("missing last block");
@@ -87,13 +86,13 @@ decodeBlock(ByteSpan data, std::size_t &pos, u64 window_size,
     pos += comp_size.value();
 
     std::size_t body_pos = 0;
-    auto literals = decodeLiteralsSection(body, body_pos, regen_size);
-    if (!literals.ok())
-        return literals.status();
+    DecodedLiterals literals;
+    CDPU_RETURN_IF_ERROR(decodeLiteralsSection(
+        body, body_pos, regen_size, scratch.literals, literals));
     if (trace_out) {
-        trace_out->literalsMode = literals.value().mode;
-        trace_out->litCount = literals.value().bytes.size();
-        trace_out->litStreamBytes = literals.value().streamBytes;
+        trace_out->literalsMode = literals.mode;
+        trace_out->litCount = literals.bytes.size();
+        trace_out->litStreamBytes = literals.streamBytes;
     }
     // The block is sized only now that its regen size has passed the
     // format and content-size bounds.
@@ -101,8 +100,8 @@ decodeBlock(ByteSpan data, std::size_t &pos, u64 window_size,
     out.resize(base + regen_size + mem::kWildCopySlop);
     std::size_t op = base;
     Status status = executeSequencesSection(
-        body, body_pos, literals.value().bytes, window_size,
-        base + regen_size, out, op, trace_out);
+        body, body_pos, literals.bytes, window_size, base + regen_size,
+        out, op, scratch.sequences, trace_out);
     if (status.ok() && body_pos != body.size())
         status = Status::corrupt("trailing bytes in block body");
     out.resize(status.ok() ? base + regen_size : op);
@@ -179,7 +178,8 @@ probeBlock(ByteSpan data, std::size_t pos, bool &complete)
 } // namespace
 
 Status
-decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
+decompressInto(ByteSpan data, Bytes &out, Scratch &scratch,
+               FileTrace *trace)
 {
     out.clear();
     std::size_t pos = 0;
@@ -204,7 +204,8 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
     while (!saw_last) {
         CDPU_RETURN_IF_ERROR(decodeBlock(
             data, pos, window_size, header.value().contentSize, out,
-            trace ? &trace->blocks.emplace_back() : nullptr, saw_last));
+            scratch, trace ? &trace->blocks.emplace_back() : nullptr,
+            saw_last));
     }
 
     if (out.size() != header.value().contentSize)
@@ -212,6 +213,13 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
     if (pos != data.size())
         return Status::corrupt("trailing bytes after last block");
     return Status::okStatus();
+}
+
+Status
+decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
+{
+    Scratch scratch;
+    return decompressInto(data, out, scratch, trace);
 }
 
 Result<Bytes>
@@ -274,9 +282,9 @@ StreamDecoder::feed(ByteSpan data)
             return failed_;
         if (!complete)
             break; // Wait for more bytes.
-        failed_ =
-            decodeBlock(span, cursor_, 1ull << header_.windowLog,
-                        header_.contentSize, out_, nullptr, sawLast_);
+        failed_ = decodeBlock(span, cursor_, 1ull << header_.windowLog,
+                              header_.contentSize, out_, scratch_, nullptr,
+                              sawLast_);
         if (!failed_.ok())
             return failed_;
     }

@@ -8,6 +8,7 @@
 #define CDPU_ZSTDLITE_DECOMPRESS_H_
 
 #include "zstdlite/format.h"
+#include "zstdlite/scratch.h"
 
 namespace cdpu::zstdlite
 {
@@ -27,9 +28,14 @@ Result<Bytes> decompress(ByteSpan data, FileTrace *trace = nullptr);
 
 /**
  * Context-reuse variant of decompress(): decodes into @p out, clearing
- * it first but keeping its capacity (see snappy::decompressInto). On
- * error @p out is left in an unspecified (but valid) state.
+ * it first but keeping its capacity (see snappy::decompressInto), and
+ * rebuilds each block's literals and tables in @p scratch. On error
+ * @p out is left in an unspecified (but valid) state.
  */
+Status decompressInto(ByteSpan data, Bytes &out, Scratch &scratch,
+                      FileTrace *trace = nullptr);
+
+/** decompressInto() on a scratch of its own. */
 Status decompressInto(ByteSpan data, Bytes &out,
                       FileTrace *trace = nullptr);
 
@@ -70,6 +76,7 @@ class StreamDecoder
     bool sawLast_ = false;
     Bytes out_;              ///< Full decoded history (window source).
     std::size_t drained_ = 0;
+    Scratch scratch_;
     Status failed_;
 };
 

@@ -1,6 +1,7 @@
 #include "zstdlite/literals.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/varint.h"
 #include "huffman/decoder.h"
@@ -20,7 +21,7 @@ constexpr std::size_t kLengthTableBytes = kLiteralSymbols / 2;
 
 void
 encodeLiteralsSection(ByteSpan literals, Bytes &out,
-                      LiteralsMode *mode_out,
+                      LiteralsScratch &scratch, LiteralsMode *mode_out,
                       std::size_t *stream_bytes_out)
 {
     auto emit_header = [&](LiteralsMode mode) {
@@ -48,23 +49,25 @@ encodeLiteralsSection(ByteSpan literals, Bytes &out,
 
     // Try Huffman; fall back to raw when it cannot win (including its
     // fixed 128-byte table and varint stream length).
-    auto freqs = huffman::countFrequencies(literals);
-    auto table = huffman::buildCodeTable(freqs);
-    if (table.ok()) {
-        auto bit_cost = huffman::encodedBitCost(table.value(), freqs);
+    std::array<u64, kLiteralSymbols> freqs{};
+    for (u8 b : literals)
+        ++freqs[b];
+    huffman::CodeTable &table = scratch.code;
+    if (huffman::buildCodeTable(freqs, huffman::kDefaultMaxBits, table)
+            .ok()) {
+        auto bit_cost = huffman::encodedBitCost(table, freqs);
         if (bit_cost.ok()) {
             std::size_t stream_bytes = (bit_cost.value() + 1 + 7) / 8;
             std::size_t huff_total = kLengthTableBytes + stream_bytes +
                                      varintSize(stream_bytes);
             if (huff_total < literals.size()) {
                 emit_header(LiteralsMode::huffman);
-                huffman::packLengths(table.value().lengths, kLiteralSymbols,
-                                     out);
+                huffman::packLengths(table.lengths, kLiteralSymbols, out);
                 putVarint(out, stream_bytes);
-                BitWriter writer;
-                // Cannot fail: the table was built over these literals.
-                (void)huffman::encode(table.value(), literals, writer);
-                Bytes stream = writer.finish();
+                BitWriter &writer = scratch.stream;
+                writer.clear();
+                huffman::encode(table, literals, writer);
+                const ByteSpan stream = writer.terminate();
                 out.insert(out.end(), stream.begin(), stream.end());
                 if (stream_bytes_out)
                     *stream_bytes_out = stream.size();
@@ -77,17 +80,18 @@ encodeLiteralsSection(ByteSpan literals, Bytes &out,
     out.insert(out.end(), literals.begin(), literals.end());
 }
 
-Result<DecodedLiterals>
+Status
 decodeLiteralsSection(ByteSpan data, std::size_t &pos,
-                      std::size_t max_literals)
+                      std::size_t max_literals, LiteralsScratch &scratch,
+                      DecodedLiterals &literals)
 {
     if (pos >= data.size())
         return Status::corrupt("literals section truncated");
     u8 mode_byte = data[pos++];
     if (mode_byte > static_cast<u8>(LiteralsMode::huffman))
         return Status::corrupt("bad literals mode");
-    DecodedLiterals result;
-    result.mode = static_cast<LiteralsMode>(mode_byte);
+    literals = DecodedLiterals{};
+    literals.mode = static_cast<LiteralsMode>(mode_byte);
 
     auto count = getVarint(data, pos);
     if (!count.ok())
@@ -99,34 +103,30 @@ decodeLiteralsSection(ByteSpan data, std::size_t &pos,
         return Status::corrupt("literal count exceeds block bound");
     std::size_t lit_count = count.value();
 
-    switch (result.mode) {
+    switch (literals.mode) {
       case LiteralsMode::raw: {
         if (pos + lit_count > data.size())
             return Status::corrupt("raw literals truncated");
-        result.bytes.assign(data.begin() + pos,
-                            data.begin() + pos + lit_count);
+        literals.bytes = data.subspan(pos, lit_count);
         pos += lit_count;
-        return result;
+        return Status::okStatus();
       }
       case LiteralsMode::rle: {
         if (pos >= data.size())
             return Status::corrupt("rle literal truncated");
-        result.bytes.assign(lit_count, data[pos++]);
-        return result;
+        scratch.bytes.assign(lit_count, data[pos++]);
+        literals.bytes = ByteSpan(scratch.bytes.data(), lit_count);
+        return Status::okStatus();
       }
       case LiteralsMode::huffman: {
         if (pos + kLengthTableBytes > data.size())
             return Status::corrupt("huffman table truncated");
-        auto lengths =
-            huffman::unpackLengths(data.subspan(pos, kLengthTableBytes),
-                                   kLiteralSymbols);
+        huffman::CodeTable &table = scratch.code;
+        huffman::unpackLengths(data.subspan(pos, kLengthTableBytes),
+                               kLiteralSymbols, table.lengths);
         pos += kLengthTableBytes;
-        auto table = huffman::codesFromLengths(lengths);
-        if (!table.ok())
-            return table.status();
-        auto decoder = huffman::Decoder::build(table.value());
-        if (!decoder.ok())
-            return decoder.status();
+        CDPU_RETURN_IF_ERROR(huffman::codesFromLengths(table));
+        CDPU_RETURN_IF_ERROR(scratch.decoder.rebuild(table));
 
         auto stream_bytes = getVarint(data, pos);
         if (!stream_bytes.ok())
@@ -135,13 +135,14 @@ decodeLiteralsSection(ByteSpan data, std::size_t &pos,
             return Status::corrupt("huffman stream truncated");
         ByteSpan stream = data.subspan(pos, stream_bytes.value());
         pos += stream_bytes.value();
-        result.streamBytes = stream.size();
+        literals.streamBytes = stream.size();
 
         BitReader reader(stream);
-        result.bytes.reserve(lit_count);
+        scratch.bytes.clear();
         CDPU_RETURN_IF_ERROR(
-            decoder.value().decode(reader, lit_count, result.bytes));
-        return result;
+            scratch.decoder.decode(reader, lit_count, scratch.bytes));
+        literals.bytes = ByteSpan(scratch.bytes.data(), lit_count);
+        return Status::okStatus();
       }
     }
     return Status::internal("unreachable literals mode");

@@ -35,17 +35,6 @@ makePredefined(std::size_t alphabet, unsigned table_log, double decay)
     return norm.value();
 }
 
-Result<fse::NormalizedCounts>
-dynamicCounts(const std::vector<u8> &codes, std::size_t alphabet)
-{
-    std::vector<u64> freqs(alphabet, 0);
-    for (u8 code : codes)
-        ++freqs[code];
-    u64 total = codes.size();
-    unsigned log = fse::suggestTableLog(freqs, total);
-    return fse::normalizeCounts(freqs, log);
-}
-
 } // namespace
 
 const fse::NormalizedCounts &
@@ -100,9 +89,9 @@ predefinedEncodeTable(CodeStream which)
 } // namespace
 
 Status
-encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
-                       Bytes &out, std::size_t *stream_bytes_out,
-                       bool *dynamic_out)
+encodeSequencesSection(std::span<const lz77::Sequence> sequences,
+                       Bytes &out, SequencesScratch &scratch,
+                       std::size_t *stream_bytes_out, bool *dynamic_out)
 {
     putVarint(out, sequences.size());
     if (stream_bytes_out)
@@ -112,14 +101,17 @@ encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
     if (sequences.empty())
         return Status::okStatus();
 
-    // Bin every sequence once; codes feed the tables and the stream.
-    std::vector<u8> ll_codes(sequences.size());
-    std::vector<u8> of_codes(sequences.size());
-    std::vector<u8> ml_codes(sequences.size());
-    std::vector<CodeBin> ll_bins(sequences.size());
-    std::vector<CodeBin> of_bins(sequences.size());
-    std::vector<CodeBin> ml_bins(sequences.size());
-    for (std::size_t i = 0; i < sequences.size(); ++i) {
+    // Bin every sequence once; the bins feed the tables and the stream.
+    const std::size_t count = sequences.size();
+    for (std::vector<CodeBin> &bins : scratch.bins)
+        bins.resize(count);
+    CodeBin *const ll_bins = scratch.bins[kLL].data();
+    CodeBin *const of_bins = scratch.bins[kOF].data();
+    CodeBin *const ml_bins = scratch.bins[kML].data();
+    std::array<u64, kNumLLCodes> ll_freqs{};
+    std::array<u64, kNumOFCodes> of_freqs{};
+    std::array<u64, kNumMLCodes> ml_freqs{};
+    for (std::size_t i = 0; i < count; ++i) {
         const auto &seq = sequences[i];
         if (seq.matchLength < kMinMatchLength ||
             seq.matchLength > kMaxMatchLength ||
@@ -129,12 +121,12 @@ encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
         ll_bins[i] = literalLengthBin(seq.literalLength);
         of_bins[i] = offsetBin(seq.offset);
         ml_bins[i] = matchLengthBin(seq.matchLength);
-        ll_codes[i] = ll_bins[i].code;
-        of_codes[i] = of_bins[i].code;
-        ml_codes[i] = ml_bins[i].code;
+        ++ll_freqs[ll_bins[i].code];
+        ++of_freqs[of_bins[i].code];
+        ++ml_freqs[ml_bins[i].code];
     }
 
-    const bool dynamic = sequences.size() >= kDynamicTableThreshold;
+    const bool dynamic = count >= kDynamicTableThreshold;
     out.push_back(dynamic ? static_cast<u8>(
                                 static_cast<u8>(TableMode::dynamic) |
                                 (static_cast<u8>(TableMode::dynamic) << 2) |
@@ -145,50 +137,46 @@ encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
 
     // Predefined tables come from the process-wide cache; dynamic ones
     // are normalized, transmitted and built for this section.
-    std::array<fse::EncodeTable, 3> dynamic_tables;
     std::array<const fse::EncodeTable *, 3> tables = {
         &predefinedEncodeTable(kLL), &predefinedEncodeTable(kOF),
         &predefinedEncodeTable(kML)};
     const auto transmit = [&](CodeStream which,
-                              const std::vector<u8> &codes,
-                              std::size_t alphabet) -> Status {
-        auto norm = dynamicCounts(codes, alphabet);
-        if (!norm.ok())
-            return norm.status();
-        fse::serializeCounts(norm.value(), out);
-        auto built = fse::buildEncodeTable(norm.value());
-        if (!built.ok())
-            return built.status();
-        dynamic_tables[which] = std::move(built).value();
-        tables[which] = &dynamic_tables[which];
+                              std::span<const u64> freqs) -> Status {
+        fse::NormalizedCounts &norm = scratch.counts[which];
+        CDPU_RETURN_IF_ERROR(fse::normalizeCounts(
+            freqs, fse::suggestTableLog(freqs, count), norm));
+        fse::serializeCounts(norm, out);
+        fse::EncodeTable &table = scratch.encodeTables[which];
+        CDPU_RETURN_IF_ERROR(fse::buildEncodeTable(norm, table));
+        tables[which] = &table;
         return Status::okStatus();
     };
     if (dynamic) {
-        CDPU_RETURN_IF_ERROR(transmit(kLL, ll_codes, kNumLLCodes));
-        CDPU_RETURN_IF_ERROR(transmit(kOF, of_codes, kNumOFCodes));
-        CDPU_RETURN_IF_ERROR(transmit(kML, ml_codes, kNumMLCodes));
+        CDPU_RETURN_IF_ERROR(transmit(kLL, ll_freqs));
+        CDPU_RETURN_IF_ERROR(transmit(kOF, of_freqs));
+        CDPU_RETURN_IF_ERROR(transmit(kML, ml_freqs));
     }
 
-    BitWriter writer;
+    BitWriter &writer = scratch.stream;
+    writer.clear();
     fse::Encoder ll_enc(*tables[kLL]);
     fse::Encoder of_enc(*tables[kOF]);
     fse::Encoder ml_enc(*tables[kML]);
-    for (std::size_t i = sequences.size(); i-- > 0;) {
+    for (std::size_t i = count; i-- > 0;) {
         const auto &seq = sequences[i];
         writer.put(seq.literalLength - ll_bins[i].baseline,
                    ll_bins[i].extraBits);
         writer.put(seq.matchLength - ml_bins[i].baseline,
                    ml_bins[i].extraBits);
-        writer.put(seq.offset - of_bins[i].baseline,
-                   of_bins[i].extraBits);
-        CDPU_RETURN_IF_ERROR(of_enc.encode(of_codes[i], writer));
-        CDPU_RETURN_IF_ERROR(ml_enc.encode(ml_codes[i], writer));
-        CDPU_RETURN_IF_ERROR(ll_enc.encode(ll_codes[i], writer));
+        writer.put(seq.offset - of_bins[i].baseline, of_bins[i].extraBits);
+        of_enc.encode(of_bins[i].code, writer);
+        ml_enc.encode(ml_bins[i].code, writer);
+        ll_enc.encode(ll_bins[i].code, writer);
     }
     ll_enc.flushState(writer);
     ml_enc.flushState(writer);
     of_enc.flushState(writer);
-    Bytes stream = writer.finish();
+    const ByteSpan stream = writer.terminate();
 
     putVarint(out, stream.size());
     out.insert(out.end(), stream.begin(), stream.end());
@@ -197,8 +185,9 @@ encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
     return Status::okStatus();
 }
 
-SeqTable
-buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which)
+void
+buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which,
+              SeqTable &table)
 {
     const std::size_t size = std::size_t{1} << norm.tableLog;
     // Left uninitialized: the spread writes every one of the first
@@ -220,7 +209,6 @@ buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which)
         next[sym] = norm.counts[sym];
     }
 
-    SeqTable table;
     table.tableLog = norm.tableLog;
     table.entries.resize(size);
     for (std::size_t state = 0; state < size; ++state) {
@@ -231,7 +219,6 @@ buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which)
             bins[sym].baseline, bins[sym].extraBits, nb_bits,
             static_cast<u16>((x << nb_bits) - size)};
     }
-    return table;
 }
 
 const fse::NormalizedCounts &
@@ -252,6 +239,8 @@ readSectionHeader(ByteSpan data, std::size_t &pos,
     if (count.value() > max_sequences)
         return Status::corrupt("sequence count exceeds block bound");
     header.count = count.value();
+    header.dynamic = {};
+    header.stream = {};
     if (header.count == 0)
         return Status::okStatus();
 
@@ -263,10 +252,8 @@ readSectionHeader(ByteSpan data, std::size_t &pos,
                                 static_cast<u8>(TableMode::dynamic);
         if (!header.dynamic[which])
             continue;
-        auto norm = fse::deserializeCounts(data, pos);
-        if (!norm.ok())
-            return norm.status();
-        header.counts[which] = std::move(norm).value();
+        CDPU_RETURN_IF_ERROR(
+            fse::deserializeCounts(data, pos, header.counts[which]));
     }
     // The alphabet bound is what makes every table symbol a valid code,
     // so no decoder range-checks codes per sequence.
@@ -290,19 +277,20 @@ namespace
 {
 
 /** The section's table for @p which: the process-wide predefined one,
- *  or one built into @p scratch from the transmitted counts. */
+ *  or one rebuilt in @p scratch from the transmitted counts. */
 const SeqTable &
 seqTableFor(const SectionHeader &header, CodeStream which,
             SeqTable &scratch)
 {
-    static const std::array<SeqTable, 3> predefined = {
-        buildSeqTable(predefinedCounts(kLL), kLL),
-        buildSeqTable(predefinedCounts(kOF), kOF),
-        buildSeqTable(predefinedCounts(kML), kML),
-    };
+    static const std::array<SeqTable, 3> predefined = [] {
+        std::array<SeqTable, 3> tables;
+        for (CodeStream which : {kLL, kOF, kML})
+            buildSeqTable(predefinedCounts(which), which, tables[which]);
+        return tables;
+    }();
     if (!header.dynamic[which])
         return predefined[which];
-    scratch = buildSeqTable(header.counts[which], which);
+    buildSeqTable(header.counts[which], which, scratch);
     return scratch;
 }
 
@@ -315,19 +303,17 @@ template <bool kTraced>
 Status
 executeSequences(const SectionHeader &header, ByteSpan literals,
                  u64 window_size, std::size_t block_end, Bytes &out,
-                 std::size_t &op, std::vector<lz77::Sequence> *sequences)
+                 std::size_t &op, std::array<SeqTable, 3> &tables,
+                 std::vector<lz77::Sequence> *sequences)
 {
     u8 *const dst = out.data();
     const u8 *const dst_end = dst + out.size();
     const u8 *lit = literals.data();
     std::size_t lit_left = literals.size();
     if (header.count != 0) {
-        SeqTable ll_scratch;
-        SeqTable of_scratch;
-        SeqTable ml_scratch;
-        const SeqTable &ll = seqTableFor(header, kLL, ll_scratch);
-        const SeqTable &of = seqTableFor(header, kOF, of_scratch);
-        const SeqTable &ml = seqTableFor(header, kML, ml_scratch);
+        const SeqTable &ll = seqTableFor(header, kLL, tables[kLL]);
+        const SeqTable &of = seqTableFor(header, kOF, tables[kOF]);
+        const SeqTable &ml = seqTableFor(header, kML, tables[kML]);
         // Locals, not members: stores through dst may alias anything.
         const SeqSymbol *const ll_entries = ll.entries.data();
         const SeqSymbol *const of_entries = of.entries.data();
@@ -436,21 +422,24 @@ Status
 executeSequencesSection(ByteSpan data, std::size_t &pos,
                         ByteSpan literals, u64 window_size,
                         std::size_t block_end, Bytes &out,
-                        std::size_t &op, BlockTrace *trace)
+                        std::size_t &op, SequencesScratch &scratch,
+                        BlockTrace *trace)
 {
-    SectionHeader header;
+    SectionHeader &header = scratch.header;
     CDPU_RETURN_IF_ERROR(readSectionHeader(
         data, pos, (block_end - op) / kMinMatchLength + 1, header));
     if (!trace)
         return executeSequences<false>(header, literals, window_size,
-                                       block_end, out, op, nullptr);
+                                       block_end, out, op, scratch.tables,
+                                       nullptr);
     trace->numSequences = header.count;
     trace->seqStreamBytes = header.stream.size();
     trace->dynamicTables =
         header.dynamic[kLL] || header.dynamic[kOF] || header.dynamic[kML];
     trace->sequences.reserve(header.count);
     return executeSequences<true>(header, literals, window_size, block_end,
-                                  out, op, &trace->sequences);
+                                  out, op, scratch.tables,
+                                  &trace->sequences);
 }
 
 } // namespace cdpu::zstdlite

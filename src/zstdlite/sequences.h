@@ -14,6 +14,9 @@
 #ifndef CDPU_ZSTDLITE_SEQUENCES_H_
 #define CDPU_ZSTDLITE_SEQUENCES_H_
 
+#include <span>
+
+#include "common/bitio.h"
 #include "fse/table.h"
 #include "zstdlite/format.h"
 
@@ -56,25 +59,17 @@ struct SeqTable
 };
 
 /**
- * Builds @p which's fused table from @p norm in one pass: the spread
- * on the stack, each symbol binned once, every entry written once.
- * Entry for entry it is fse::buildDecodeTable() with each symbol
- * replaced by its code's baseline and extra bits.
+ * Builds @p which's fused table from @p norm into @p table (its storage
+ * reused) in one pass: the spread on the stack, each symbol binned
+ * once, every entry written once. Entry for entry it is
+ * fse::buildDecodeTable() with each symbol replaced by its code's
+ * baseline and extra bits.
  * @pre @p norm sums to 1 << tableLog with tableLog <= fse::kMaxTableLog
  *      and its alphabet fits @p which's code range, as
  *      fse::deserializeCounts() and the section's alphabet check ensure.
  */
-SeqTable buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which);
-
-/**
- * Encodes @p sequences as a sequences section appended to @p out.
- * Dynamic FSE tables are transmitted when the sequence count justifies
- * them. Reports the bitstream length and table mode for the trace.
- */
-Status encodeSequencesSection(const std::vector<lz77::Sequence> &sequences,
-                              Bytes &out,
-                              std::size_t *stream_bytes_out = nullptr,
-                              bool *dynamic_out = nullptr);
+void buildSeqTable(const fse::NormalizedCounts &norm, CodeStream which,
+                   SeqTable &table);
 
 /** The parsed front of a sequences section: what the decoder needs
  *  before it reads the first sequence. */
@@ -90,10 +85,37 @@ struct SectionHeader
     const fse::NormalizedCounts &norm(CodeStream which) const;
 };
 
+/** What the sequences section rebuilds per block, kept across blocks
+ *  and calls: each member is rebuilt in place, its capacity kept. */
+struct SequencesScratch
+{
+    /** Encode: every sequence's binning, per code stream. */
+    std::array<std::vector<CodeBin>, 3> bins;
+    /** Encode: the transmitted distributions and their tables. */
+    std::array<fse::NormalizedCounts, 3> counts;
+    std::array<fse::EncodeTable, 3> encodeTables;
+    BitWriter stream; ///< Encode: the backward FSE bitstream.
+
+    /** Decode: the section's header and its transmitted tables. */
+    SectionHeader header;
+    std::array<SeqTable, 3> tables;
+};
+
+/**
+ * Encodes @p sequences as a sequences section appended to @p out.
+ * Dynamic FSE tables are transmitted when the sequence count justifies
+ * them. Reports the bitstream length and table mode for the trace.
+ */
+Status encodeSequencesSection(std::span<const lz77::Sequence> sequences,
+                              Bytes &out, SequencesScratch &scratch,
+                              std::size_t *stream_bytes_out = nullptr,
+                              bool *dynamic_out = nullptr);
+
 /**
  * Parses a section's count, table modes, transmitted distributions and
- * stream span at @p pos, advancing it past the stream. A zero count
- * ends the section after its varint.
+ * stream span at @p pos into @p header (its storage reused), advancing
+ * @p pos past the stream. A zero count ends the section after its
+ * varint.
  *
  * @p max_sequences bounds the claimed count before anything is sized
  * from it: every sequence contributes a match of at least
@@ -111,7 +133,8 @@ Status readSectionHeader(ByteSpan data, std::size_t &pos,
  * executes each sequence as soon as it is decoded, its literal run
  * from @p literals and then its match, with no sequence list in
  * between. Remaining literals form the block's tail. Every compressed
- * block of every decode runs through here.
+ * block of every decode runs through here; its header and dynamic
+ * tables are rebuilt in @p scratch.
  *
  * The block occupies [@p op, @p block_end) of @p out, which must
  * already hold block_end + mem::kWildCopySlop bytes; everything
@@ -125,7 +148,7 @@ Status readSectionHeader(ByteSpan data, std::size_t &pos,
 Status executeSequencesSection(ByteSpan data, std::size_t &pos,
                                ByteSpan literals, u64 window_size,
                                std::size_t block_end, Bytes &out,
-                               std::size_t &op,
+                               std::size_t &op, SequencesScratch &scratch,
                                BlockTrace *trace = nullptr);
 
 } // namespace cdpu::zstdlite

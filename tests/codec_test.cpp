@@ -122,12 +122,11 @@ TEST(CodecRoundTripTest, EveryCodecEveryDataClass)
                 Bytes data = corpus::generate(cls, size, rng);
                 Bytes compressed;
                 ASSERT_TRUE(
-                    vtable.compressInto(data, params, compressed).ok());
+                    compressInto(id, data, params, compressed).ok());
                 EXPECT_LE(compressed.size(),
                           vtable.maxCompressedSize(data.size()));
                 Bytes decoded;
-                ASSERT_TRUE(
-                    vtable.decompressInto(compressed, decoded).ok());
+                ASSERT_TRUE(decompressInto(id, compressed, decoded).ok());
                 EXPECT_EQ(decoded, data);
             }
         }
@@ -137,11 +136,13 @@ TEST(CodecRoundTripTest, EveryCodecEveryDataClass)
 TEST(CodecRoundTripTest, IntoEntryPointsReuseOneScratchBuffer)
 {
     Rng rng(202);
-    // One pair of buffers across every codec and size: the serve
-    // layer's allocation-free steady state. Stale capacity or stale
-    // contents from the previous codec must never leak through.
+    // One pair of buffers and one codec scratch across every codec and
+    // size: the serve layer's allocation-free steady state. Stale
+    // capacity or stale contents from the previous codec must never
+    // leak through.
     Bytes compressed;
     Bytes decoded;
+    Scratch scratch;
     for (std::size_t size : {90000u, 333u, 48000u, 1u}) {
         for (CodecId id : allCodecs()) {
             SCOPED_TRACE(testing::Message()
@@ -150,10 +151,10 @@ TEST(CodecRoundTripTest, IntoEntryPointsReuseOneScratchBuffer)
             const CodecVTable &vtable = registry(id);
             ASSERT_TRUE(vtable
                             .compressInto(data, defaultParams(vtable),
-                                          compressed)
+                                          compressed, scratch)
                             .ok());
             ASSERT_TRUE(
-                vtable.decompressInto(compressed, decoded).ok());
+                vtable.decompressInto(compressed, decoded, scratch).ok());
             EXPECT_EQ(decoded, data);
         }
     }
@@ -173,10 +174,9 @@ TEST(CodecRoundTripTest, MaxCompressedSizeBoundsIncompressibleInput)
             Bytes data = corpus::generate(
                 corpus::DataClass::randomBytes, size, rng);
             Bytes compressed;
-            ASSERT_TRUE(vtable
-                            .compressInto(data, defaultParams(vtable),
-                                          compressed)
-                            .ok());
+            ASSERT_TRUE(
+                compressInto(id, data, defaultParams(vtable), compressed)
+                    .ok());
             // The vtable's analytic bound and the caps' advertised
             // expansion formula must both hold.
             EXPECT_LE(compressed.size(),
@@ -232,10 +232,8 @@ TEST_P(CodecTierTest, EveryCodecByteIdenticalToScalar)
             mem::KernelStats before = mem::kernelStats();
             Bytes ref_comp;
             Bytes ref_out;
-            ASSERT_TRUE(
-                vtable.compressInto(data, params, ref_comp).ok());
-            ASSERT_TRUE(
-                vtable.decompressInto(ref_comp, ref_out).ok());
+            ASSERT_TRUE(compressInto(id, data, params, ref_comp).ok());
+            ASSERT_TRUE(decompressInto(id, ref_comp, ref_out).ok());
             mem::KernelStats scalar_stats =
                 mem::kernelStats().diff(before);
 
@@ -243,10 +241,8 @@ TEST_P(CodecTierTest, EveryCodecByteIdenticalToScalar)
             before = mem::kernelStats();
             Bytes tier_comp;
             Bytes tier_out;
-            ASSERT_TRUE(
-                vtable.compressInto(data, params, tier_comp).ok());
-            ASSERT_TRUE(
-                vtable.decompressInto(tier_comp, tier_out).ok());
+            ASSERT_TRUE(compressInto(id, data, params, tier_comp).ok());
+            ASSERT_TRUE(decompressInto(id, tier_comp, tier_out).ok());
             mem::KernelStats tier_stats =
                 mem::kernelStats().diff(before);
 
@@ -313,13 +309,11 @@ TEST(CodecSessionTest, CompressionIsChunkGranularityInvariant)
         // the two entry points must be interchangeable both ways.
         if (vtable.caps.streamingSharesBufferFormat) {
             Bytes decoded;
-            ASSERT_TRUE(
-                vtable.decompressInto(reference, decoded).ok());
+            ASSERT_TRUE(decompressInto(id, reference, decoded).ok());
             EXPECT_EQ(decoded, data);
 
             Bytes whole;
-            ASSERT_TRUE(
-                vtable.compressInto(data, params, whole).ok());
+            ASSERT_TRUE(compressInto(id, data, params, whole).ok());
             auto session = vtable.makeDecompressSession();
             Bytes streamed;
             ASSERT_TRUE(
@@ -441,8 +435,8 @@ TEST(CodecSessionTest, StreamingErrorClassMatchesWholeBufferDecode)
             Bytes mutated = frame;
             mutated[where] ^= 0x20;
             Bytes whole_out;
-            Status whole = vtable.decompressInto(
-                ByteSpan(mutated.data(), mutated.size()), whole_out);
+            Status whole = decompressInto(
+                id, ByteSpan(mutated.data(), mutated.size()), whole_out);
 
             for (std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                       std::size_t{0}}) {

@@ -371,8 +371,7 @@ TEST(EntropyFastPathFuzz, HuffmanRoundTripsOnVariedEntropy)
             auto decoder = huffman::Decoder::build(table.value());
             ASSERT_TRUE(decoder.ok());
             BitWriter writer;
-            ASSERT_TRUE(
-                huffman::encode(table.value(), data, writer).ok());
+            huffman::encode(table.value(), data, writer);
             Bytes stream = writer.finish();
             BitReader reader(stream);
             Bytes out;
@@ -454,7 +453,7 @@ TEST(HuffmanFastPathFuzz, MatchesPerSymbolReferenceIncludingErrorVerdicts)
         auto decoder = huffman::Decoder::build(table.value());
         ASSERT_TRUE(decoder.ok());
         BitWriter writer;
-        ASSERT_TRUE(huffman::encode(table.value(), data, writer).ok());
+        huffman::encode(table.value(), data, writer);
         const Bytes stream = writer.finish();
 
         // Same bytes, verdict class and end cursor; a failed decode
@@ -822,6 +821,90 @@ TEST(FastParseBattery, EqualsMatchFinderForEveryCodecGeometry)
             });
         }
     });
+}
+
+TEST(FastParseBattery, RetainedTableEqualsFreshMatchFinderInAnyOrder)
+{
+    // One ParseTable, and one Parse, serve every geometry and payload
+    // of the battery in shuffled order, so each parse runs on slots an
+    // earlier parse of another geometry left behind; the payloads
+    // include 0 and 1 byte and both sides of each hash's width. The
+    // table's base starts just below the reset point, so the battery
+    // also crosses the reset. Each parse must equal a fresh
+    // MatchFinder's.
+    const std::vector<ParseSetting> settings = codecParseSettings();
+    std::vector<battery::Payload> payloads;
+    battery::forEachPayload([&](const battery::Payload &payload) {
+        payloads.push_back(payload);
+    });
+    std::vector<std::pair<std::size_t, std::size_t>> jobs;
+    for (std::size_t p = 0; p < payloads.size(); ++p) {
+        for (std::size_t k = 0; k < settings.size(); ++k) {
+            if (payloads[p].checks(k))
+                jobs.emplace_back(p, k);
+        }
+    }
+    Rng rng(8191);
+    for (std::size_t i = jobs.size(); i > 1; --i)
+        std::swap(jobs[i - 1], jobs[rng.below(i)]);
+
+    lz77::ParseTable table(lz77::ParseTable::kResetBase - 5000);
+    lz77::Parse parse;
+    for (const auto &[p, k] : jobs) {
+        const std::string what =
+            payloads[p].what + ", " + settings[k].name;
+        lz77::fastParse(payloads[p].bytes, settings[k].config, table,
+                        parse);
+        lz77::MatchFinderStats stats;
+        expectSameParse(parse,
+                        lz77::MatchFinder(settings[k].config)
+                            .parse(payloads[p].bytes, &stats),
+                        what);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(FastParseBattery, TableBaseResetsExactlyPastTheResetPoint)
+{
+    // A parse that ends exactly at the reset point keeps the table; one
+    // byte more and the table is zeroed first. Around that boundary, on
+    // one table, every parse must equal a fresh MatchFinder's: neither a
+    // slot that survived the previous parse nor a zeroed slot may read
+    // as a candidate. `first` repeats its first four bytes with a
+    // different fifth at byte 15 (before skip acceleration starts), in
+    // a set of its own under the 5-byte hash, where only a zero slot
+    // read as position 0 would offer a match.
+    Bytes first = {'A', 'B', 'C', 'D', '1'};
+    for (u32 i = 0; first.size() < 15; ++i)
+        first.push_back(static_cast<u8>(i * 37 + 11));
+    for (u8 b : {'A', 'B', 'C', 'D', '2'})
+        first.push_back(b);
+    for (u32 i = 0; i < 200; ++i)
+        first.push_back(static_cast<u8>(i * 91 + 5));
+    Rng rng(77);
+    const Bytes second =
+        corpus::generate(corpus::DataClass::textLike, 3000, rng);
+    for (const lz77::MatchFinderConfig &config :
+         {zstdlite::levelParameters(3, 17),
+          flatelite::flateLevelParameters(7, 15)}) {
+        lz77::MatchFinderStats stats;
+        const lz77::Parse want_first =
+            lz77::MatchFinder(config).parse(first, &stats);
+        const lz77::Parse want_second =
+            lz77::MatchFinder(config).parse(second, &stats);
+        for (u64 room : {first.size() - 1, first.size(), first.size() + 1}) {
+            const std::string what = std::to_string(room) + " bytes short";
+            lz77::ParseTable table(lz77::ParseTable::kResetBase - room);
+            lz77::Parse parse;
+            for (int round = 0; round < 2; ++round) {
+                lz77::fastParse(first, config, table, parse);
+                expectSameParse(parse, want_first, what + ", first");
+                lz77::fastParse(second, config, table, parse);
+                expectSameParse(parse, want_second, what + ", second");
+            }
+        }
+    }
 }
 
 TEST(FastParseBattery, DeclinedMultiWayLookaheadEvictsAnExtraWay)

@@ -239,22 +239,23 @@ decodeBlockReference(ByteSpan data, std::size_t &pos, u64 window_size,
     pos += comp_size.value();
 
     std::size_t body_pos = 0;
-    auto literals = decodeLiteralsSection(body, body_pos, regen_size);
-    if (!literals.ok())
-        return literals.status();
+    LiteralsScratch literals_scratch;
+    DecodedLiterals literals;
+    CDPU_RETURN_IF_ERROR(decodeLiteralsSection(
+        body, body_pos, regen_size, literals_scratch, literals));
     auto sequences = decodeSequencesSection(
         body, body_pos, regen_size / kMinMatchLength + 1);
     if (!sequences.ok())
         return sequences.status();
     if (body_pos != body.size())
         return Status::corrupt("trailing bytes in block body");
-    CDPU_RETURN_IF_ERROR(executeBlock(literals.value(),
+    CDPU_RETURN_IF_ERROR(executeBlock(literals,
                                       sequences.value().sequences,
                                       regen_size, window_size, out));
 
-    trace.literalsMode = literals.value().mode;
-    trace.litCount = literals.value().bytes.size();
-    trace.litStreamBytes = literals.value().streamBytes;
+    trace.literalsMode = literals.mode;
+    trace.litCount = literals.bytes.size();
+    trace.litStreamBytes = literals.streamBytes;
     trace.numSequences = sequences.value().sequences.size();
     trace.seqStreamBytes = sequences.value().streamBytes;
     trace.dynamicTables = sequences.value().dynamicTables;
@@ -442,9 +443,8 @@ referenceDecompress(ByteSpan data, FileTrace *trace = nullptr)
             continue;
         }
 
-        auto codes = readBlockCodes(data, pos);
-        if (!codes.ok())
-            return codes.status();
+        BlockCodes codes;
+        CDPU_RETURN_IF_ERROR(readBlockCodes(data, pos, codes));
         auto stream_bytes = getVarint(data, pos);
         if (!stream_bytes.ok())
             return stream_bytes.status();
@@ -454,7 +454,7 @@ referenceDecompress(ByteSpan data, FileTrace *trace = nullptr)
         pos += stream_bytes.value();
         block_trace.streamBytes = stream.size();
         CDPU_RETURN_IF_ERROR(decodeBlockReference(
-            codes.value(), stream, window, regen_size, out, block_trace));
+            codes, stream, window, regen_size, out, block_trace));
     }
 
     if (out.size() != header.value().contentSize)

@@ -120,7 +120,7 @@ TEST_P(GoldenVectorsTest, EncodersReproduceCommittedFrames)
         const codec::CodecParams params = vtable.caps.clamp(
             vtable.caps.defaultLevel, vtable.caps.defaultWindowLog);
         Bytes frame;
-        ASSERT_TRUE(vtable.compressInto(raw_, params, frame).ok());
+        ASSERT_TRUE(codec::compressInto(id, raw_, params, frame).ok());
         EXPECT_TRUE(frame == readFile(base_ + "." + vtable.caps.name));
 
         container::WriteOptions options;

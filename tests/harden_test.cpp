@@ -44,7 +44,7 @@ sampleFrame(codec::CodecId id, FrameKind kind = FrameKind::buffer,
         options.blockBytes = 1 * kKiB;
         EXPECT_TRUE(container::write(id, payload, options, frame).ok());
     } else if (kind == FrameKind::buffer) {
-        EXPECT_TRUE(vtable.compressInto(payload, params, frame).ok());
+        EXPECT_TRUE(codec::compressInto(id, payload, params, frame).ok());
     } else {
         auto session = vtable.makeCompressSession(params);
         EXPECT_TRUE(codec::compressAll(*session, payload, 0, frame).ok());
@@ -310,11 +310,14 @@ expectAimed(const GrammarCase &c, MutationClass cls, const Bytes &mutant)
     if (cls == MutationClass::stageHeaderTamper && map.stagedTerminal) {
         // A re-wrapped pipeline frame: its staged bytes differ from the
         // frame's only in the leading stage header.
+        codec::Scratch scratch;
         Bytes staged;
         Bytes tampered;
-        ASSERT_TRUE(map.stagedTerminal->decompressInto(frame, staged).ok());
         ASSERT_TRUE(
-            map.stagedTerminal->decompressInto(mutant, tampered).ok());
+            map.stagedTerminal->decompressInto(frame, staged, scratch).ok());
+        ASSERT_TRUE(map.stagedTerminal->decompressInto(mutant, tampered,
+                                                       scratch)
+                        .ok());
         ASSERT_EQ(staged.size(), tampered.size());
         const auto changed = changedBytes(staged, tampered);
         EXPECT_LE(changed.size(), 1u);

@@ -612,6 +612,102 @@ TEST(CodecContextTest, FailedCallDoesNotPoisonReusedScratch)
     EXPECT_EQ(Bytes(out.begin(), out.end()), expected);
 }
 
+/** @p call on a fresh context: its status and output. */
+std::pair<Status, Bytes>
+executeFresh(const hcb::ReplayCall &call)
+{
+    CodecContext fresh;
+    ByteSpan out;
+    Status status = fresh.execute(call, out);
+    return {status, Bytes(out.begin(), out.end())};
+}
+
+TEST(CodecContextTest, WarmContextMatchesFreshContextsOnAMixedStream)
+{
+    // One context serves every registered codec, zstdlite levels whose
+    // match table is past the retained size, and sizes from 0 B to
+    // 1 MiB, in shuffled order, with a corrupt-frame decode after each
+    // compress. Its scratch carries tables, bases and buffers from call
+    // to call; no output may show it.
+    struct Job
+    {
+        codec::CodecId id;
+        int level;
+        std::size_t bytes;
+    };
+    std::vector<Job> jobs;
+    for (codec::CodecId id : codec::allCodecs()) {
+        const int level = codec::registry(id).caps.defaultLevel;
+        for (std::size_t bytes : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{333}, 4 * kKiB,
+                                  std::size_t{70000}})
+            jobs.push_back({id, level, bytes});
+    }
+    for (codec::CodecId id :
+         {codec::CodecId::snappy, codec::CodecId::zstdlite,
+          codec::CodecId::flatelite, codec::CodecId::gipfeli})
+        jobs.push_back({id, codec::registry(id).caps.defaultLevel, kMiB});
+    for (int level : {-5, 1, 6, 7, 12, 19}) {
+        for (std::size_t bytes : {std::size_t{100}, 4 * kKiB})
+            jobs.push_back({codec::CodecId::zstdlite, level, bytes});
+    }
+    jobs.push_back({codec::CodecId::zstdlite, 9, kMiB});
+    jobs.push_back({codec::CodecId::flatelite, 9, 200 * kKiB});
+    Rng rng(2028);
+    for (std::size_t i = jobs.size(); i > 1; --i)
+        std::swap(jobs[i - 1], jobs[rng.below(i)]);
+
+    const auto classes = corpus::allDataClasses();
+    CodecContext warm;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const Job &job = jobs[j];
+        SCOPED_TRACE(testing::Message()
+                     << "call " << j << ": " << codec::codecName(job.id)
+                     << " level " << job.level << ", " << job.bytes
+                     << " B");
+        const Bytes data =
+            corpus::generate(classes[j % classes.size()], job.bytes, rng);
+        hcb::ReplayCall call;
+        call.codec = job.id;
+        call.direction = codec::Direction::compress;
+        call.payload = ByteSpan(data.data(), data.size());
+        call.level = job.level;
+        call.windowLog = codec::registry(job.id).caps.defaultWindowLog;
+
+        ByteSpan out;
+        ASSERT_TRUE(warm.execute(call, out).ok());
+        const Bytes frame(out.begin(), out.end());
+        const auto [fresh_status, fresh_frame] = executeFresh(call);
+        ASSERT_TRUE(fresh_status.ok());
+        ASSERT_TRUE(frame == fresh_frame);
+
+        // A damaged copy of the frame: the warm context must reach the
+        // fresh context's verdict and, if that is ok, its bytes.
+        Bytes damaged = frame;
+        if (!damaged.empty())
+            damaged[rng.below(damaged.size())] ^=
+                static_cast<u8>(1 + rng.below(255));
+        if (damaged.size() > 1 && rng.chance(0.3))
+            damaged.resize(rng.below(damaged.size()));
+        hcb::ReplayCall decode = call;
+        decode.direction = codec::Direction::decompress;
+        decode.payload = ByteSpan(damaged.data(), damaged.size());
+        const Status warm_damaged = warm.execute(decode, out);
+        const auto [fresh_damaged, fresh_damaged_out] =
+            executeFresh(decode);
+        ASSERT_EQ(failureClass(warm_damaged), failureClass(fresh_damaged))
+            << warm_damaged.toString() << " vs "
+            << fresh_damaged.toString();
+        if (warm_damaged.ok()) {
+            EXPECT_TRUE(Bytes(out.begin(), out.end()) == fresh_damaged_out);
+        }
+
+        decode.payload = ByteSpan(frame.data(), frame.size());
+        ASSERT_TRUE(warm.execute(decode, out).ok());
+        EXPECT_TRUE(Bytes(out.begin(), out.end()) == data);
+    }
+}
+
 TEST(ReplayEngineTest, TinyQueuesStillMatch)
 {
     auto stream = buildMixedStream(smallStreamConfig());

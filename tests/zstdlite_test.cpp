@@ -443,7 +443,8 @@ void
 expectSeqTableMatchesOracle(const fse::NormalizedCounts &norm,
                             CodeStream which)
 {
-    const SeqTable built = buildSeqTable(norm, which);
+    SeqTable built;
+    buildSeqTable(norm, which, built);
     const SeqTable expected = seqTableFromDecodeTable(norm, which);
     EXPECT_EQ(built.tableLog, expected.tableLog);
     EXPECT_TRUE(built.entries == expected.entries)
